@@ -1,0 +1,138 @@
+"""Golden outputs of the experiment harness, pinned so that refactors can
+show they keep behaviour.
+
+The files under tests/fixtures/ were written by record() below; run this
+module as a script to write them again:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Feasibility flags, random-baseline draw counts and random-allocation rates
+must match exactly, proposed rates to 1e-9 bits and powers to a relative
+1e-6.
+"""
+
+import csv
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from scma_d2d.allocation import random_baseline
+from scma_d2d.capacity import default_occupancy
+from scma_d2d.channel import (
+    ScenarioConfig,
+    rng_streams,
+    sample_channels,
+    sample_geometry,
+)
+from scma_d2d.experiments import (
+    ExperimentSpec,
+    run_baseline_comparison,
+    run_convergence,
+    run_sweep,
+)
+from scma_d2d.factor_graph import build_factor_graph
+
+FIXTURES = Path(__file__).with_name("fixtures")
+
+RATE_TOL_BITS = 1e-9
+POWER_REL_TOL = 1e-6
+# the dBm columns are 10 log10 of the watt columns
+DBM_TOL = 10 * np.log10(1 + POWER_REL_TOL) + 1e-12
+
+EXACT_COLUMNS = {"seed", "iteration", "converged", "feasible", "sweep_dbm",
+                 "random_bits", "mean_sum_rate_random",
+                 "num_infeasible_draws", "num_seeds_used"}
+RATE_COLUMNS = {"proposed_bits", "sum_rate_bits", "mean_sum_rate_proposed"}
+
+CSV_FILES = ("compare_jd2.csv", "sweep_cell_jd1.csv", "sweep_cell_jd1_summary.csv",
+             "convergence_jd1.csv", "convergence_jd2.csv")
+DRAWS_FILE = "baseline_draws_jd2.json"
+
+
+def record(out_dir):
+    """Write every golden file into out_dir."""
+    out_dir = Path(out_dir)
+    run_baseline_comparison(ExperimentSpec(
+        "baseline_comparison", ScenarioConfig(J_D=2, seed=0),
+        str(out_dir / "compare_jd2.csv"), num_seeds=10))
+    run_sweep(ExperimentSpec(
+        "sweep_cellular_cap", ScenarioConfig(J_D=1, seed=0),
+        str(out_dir / "sweep_cell_jd1.csv"), num_seeds=5,
+        sweep_values_dbm=(26.0, 30.0)))
+    for jd in (1, 2):
+        run_convergence(ExperimentSpec(
+            "convergence", ScenarioConfig(J_D=jd, seed=0),
+            str(out_dir / f"convergence_jd{jd}.csv"), num_seeds=3))
+
+    # the random baseline on every compare seed, infeasible ones included
+    cfg = ScenarioConfig(J_D=2)
+    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
+    occupancy = default_occupancy(cfg.J_D)
+    draws = {}
+    for seed in range(10):
+        run_cfg = dataclasses.replace(cfg, seed=seed)
+        streams = rng_streams(seed)
+        ch = sample_channels(run_cfg, sample_geometry(run_cfg, streams.geometry),
+                             streams.fading)
+        draw = random_baseline(run_cfg, ch, graph, occupancy, streams.baseline)
+        draws[str(seed)] = {"draws_used": draw.draws_used, "feasible": draw.feasible}
+    (out_dir / DRAWS_FILE).write_text(json.dumps(draws, indent=1) + "\n")
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _cell_problem(column, want, got):
+    if want == got:
+        return None
+    if column in EXACT_COLUMNS or want == "" or got == "":
+        return "differs"
+    want_f, got_f = float(want), float(got)
+    if column in RATE_COLUMNS:
+        ok = abs(got_f - want_f) <= RATE_TOL_BITS
+    elif column.endswith("_w"):
+        ok = abs(got_f - want_f) <= POWER_REL_TOL * abs(want_f)
+    elif column.endswith("_dbm"):
+        ok = abs(got_f - want_f) <= DBM_TOL
+    else:
+        raise AssertionError(f"no tolerance defined for column {column!r}")
+    return None if ok else "outside tolerance"
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    record(out)
+    return out
+
+
+@pytest.mark.parametrize("name", CSV_FILES)
+def test_csv_matches_golden(fresh, name):
+    want = _rows(FIXTURES / name)
+    got = _rows(fresh / name)
+    assert list(got[0]) == list(want[0]), "header changed"
+    assert len(got) == len(want), "row count changed"
+    problems = []
+    for i, (w_row, g_row) in enumerate(zip(want, got)):
+        for column, w_val in w_row.items():
+            why = _cell_problem(column, w_val, g_row[column])
+            if why:
+                problems.append(f"row {i} {column}: {g_row[column]!r} vs "
+                                f"golden {w_val!r} ({why})")
+    assert not problems, "\n".join(problems[:20])
+
+
+def test_baseline_draws_match_golden(fresh):
+    want = json.loads((FIXTURES / DRAWS_FILE).read_text())
+    got = json.loads((fresh / DRAWS_FILE).read_text())
+    assert got == want
+
+
+if __name__ == "__main__":
+    FIXTURES.mkdir(exist_ok=True)
+    record(FIXTURES)
