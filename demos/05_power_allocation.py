@@ -8,7 +8,6 @@ from scma_d2d import (
     ScenarioConfig,
     allocate,
     build_factor_graph,
-    build_p2,
     default_occupancy,
     random_baseline,
     rng_streams,
@@ -17,7 +16,7 @@ from scma_d2d import (
     sum_rate,
     watts_to_dbm,
 )
-from scma_d2d.allocation import registry_values
+from scma_d2d.allocation import pack_allocation, variable_registry
 
 cfg = ScenarioConfig(J_D=1, seed=0)
 graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
@@ -27,7 +26,7 @@ geo = sample_geometry(cfg, streams.geometry)
 ch = sample_channels(cfg, geo, streams.fading)
 
 trace = allocate(cfg, ch, graph, occupancy)
-names = build_p2(cfg, ch, graph, occupancy).registry
+names, cell_vars = variable_registry(graph, cfg.J_D)
 
 print(f"{cfg.J} users, {cfg.K} subcarriers, {cfg.J_D} D2D pair; "
       f"caps {cfg.cellular_power_cap_dbm:.0f}/{cfg.d2d_power_cap_dbm:.0f} dBm")
@@ -39,7 +38,7 @@ for i, rate in enumerate(trace.rates()):
     print(f"  {tag:>7}: {rate:.6f}")
 
 print("\nfinal powers (dBm):")
-for name, watts in zip(names, registry_values(trace.final.powers, names)):
+for name, watts in zip(names, pack_allocation(cell_vars, trace.final.powers)):
     print(f"  {name:>6}: {watts_to_dbm(watts):7.2f}")
 
 draw = random_baseline(cfg, ch, graph, occupancy, streams.baseline)

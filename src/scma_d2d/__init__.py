@@ -30,7 +30,6 @@ from .allocation import (
     initial_allocation,
     random_baseline,
     sum_rate,
-    write_trace_csv,
 )
 from .capacity import (
     CapacityBoundReport,

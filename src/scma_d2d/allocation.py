@@ -22,17 +22,15 @@ import numpy as np
 
 from .capacity import (
     PowerAllocation,
-    cellular_sinr,
     check_occupancy,
     closed_form_cellular_capacity,
     d2d_capacity,
-    d2d_sinr,
     equivalent_noise,
     tone_of_pair,
 )
 from .channel import ChannelRealization, ScenarioConfig
 from .factor_graph import FactorGraph, incidence_sets
-from .gp import OPTIMAL, SolverSettings, find_feasible, solve
+from .gp import OPTIMAL, PackedConstraints, SolverSettings, find_feasible, solve
 from .posynomial import (
     ConvexFormProblem,
     Monomial,
@@ -82,8 +80,10 @@ def variable_registry(graph: FactorGraph, n_pairs: int):
     return names, cell_vars
 
 
-def pack_allocation(p2: P2Problem, alloc: PowerAllocation) -> np.ndarray:
-    x = [alloc.cellular[j, k] for j, k in p2.cell_vars]
+def pack_allocation(cell_vars, alloc: PowerAllocation) -> np.ndarray:
+    """Powers in registry order: the cellular entries at cell_vars' (j, k),
+    then the D2D powers."""
+    x = [alloc.cellular[j, k] for j, k in cell_vars]
     return np.array(x + list(alloc.d2d))
 
 
@@ -236,23 +236,16 @@ def _constraint_arrays(p2: P2Problem) -> ConvexFormProblem:
                           constraints=p2.constraints)
 
 
-def _constraint_log_values(cp: ConvexFormProblem, y):
-    vals = []
-    for a, b in zip(cp.constraint_exponents, cp.constraint_offsets):
-        z = a @ y + b
-        m = z.max()
-        vals.append(m + np.log(np.exp(z - m).sum()))
-    return np.array(vals)
-
-
 def feasible_start(cfg, graph, p2: P2Problem,
                    settings: SolverSettings) -> np.ndarray:
     """Packed starting vector: the half-cap point when it already meets the
     QoS floors strictly, otherwise a phase-1 solution.  Raises
     InfeasibleScenarioError when the constraint set is certified empty."""
     cons = _constraint_arrays(p2)
-    x0 = pack_allocation(p2, initial_allocation(cfg, graph))
-    if _constraint_log_values(cons, np.log(x0)).max() < 0:
+    x0 = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
+    packed = PackedConstraints(cons.constraint_exponents, cons.constraint_offsets,
+                               p2.n_variables)
+    if packed.values(np.log(x0)).max() < 0:
         return x0
     feas = find_feasible(cons, settings)
     if not feas.feasible:
@@ -323,34 +316,24 @@ class BaselineDraw:
     draws_used: int
 
 
-def meets_qos(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
-              occupancy, alloc: PowerAllocation) -> bool:
-    """SINR floors for every cellular user-tone and every pair."""
-    noise = equivalent_noise(ch, alloc, occupancy)
-    inc = incidence_sets(graph)
-    for j in range(cfg.J):
-        for k in inc.subcarriers_of_user[j]:
-            if cellular_sinr(ch, alloc, noise, graph, j, k) < cfg.cellular_sinr_floor:
-                return False
-    for l in range(cfg.J_D):
-        if d2d_sinr(ch, alloc, l, occupancy) < cfg.d2d_sinr_floor:
-            return False
-    return True
+def qos_violation(cfg: ScenarioConfig, ch: ChannelRealization,
+                  graph: FactorGraph, occupancy, alloc: PowerAllocation) -> float:
+    """Largest floor/SINR ratio over every cellular user-tone on the factor
+    graph's support and every D2D pair; inf when some SINR is 0.  A value
+    <= 1 means every QoS floor holds.
 
-
-def _qos_violation(cfg, ch, graph, occupancy, alloc):
-    """Largest floor/SINR ratio (<= 1 means feasible)."""
-    noise = equivalent_noise(ch, alloc, occupancy)
-    inc = incidence_sets(graph)
-    worst = 0.0
-    for j in range(cfg.J):
-        for k in inc.subcarriers_of_user[j]:
-            s = cellular_sinr(ch, alloc, noise, graph, j, k)
-            worst = max(worst, np.inf if s == 0 else cfg.cellular_sinr_floor / s)
-    for l in range(cfg.J_D):
-        s = d2d_sinr(ch, alloc, l, occupancy)
-        worst = max(worst, np.inf if s == 0 else cfg.d2d_sinr_floor / s)
-    return worst
+    Vectorized form of capacity.cellular_sinr and capacity.d2d_sinr.
+    """
+    noise = equivalent_noise(ch, alloc, occupancy).per_subcarrier
+    cell = (np.abs(ch.cell_to_bs) ** 2 * alloc.cellular / noise)[graph.indicator.T != 0]
+    tones = [tone_of_pair(occupancy, l) for l in range(cfg.J_D)]
+    interference = (np.abs(ch.cell_to_d2d) ** 2 * alloc.cellular[:, tones]).sum(axis=0)
+    pair = np.abs(ch.d2d_pair) ** 2 * alloc.d2d / (ch.noise_power_w + interference)
+    sinr = np.concatenate([cell, pair])
+    floors = np.repeat([cfg.cellular_sinr_floor, cfg.d2d_sinr_floor],
+                       [cell.size, pair.size])
+    ratio = np.divide(floors, sinr, out=np.full(sinr.shape, np.inf), where=sinr > 0)
+    return float(ratio.max(initial=0.0))
 
 
 def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
@@ -370,46 +353,9 @@ def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
         cell = (1.0 - rng.uniform(size=(cfg.J, cfg.K))) * cap_cell * support
         d2d = (1.0 - rng.uniform(size=cfg.J_D)) * cap_d2d
         alloc = PowerAllocation(cellular=cell, d2d=d2d)
-        violation = _qos_violation(cfg, ch, graph, occupancy, alloc)
+        violation = qos_violation(cfg, ch, graph, occupancy, alloc)
         if violation <= 1.0:
             return BaselineDraw(alloc, True, i + 1)
         if best is None or violation < best_violation:
             best, best_violation = alloc, violation
     return BaselineDraw(best, False, max_resample)
-
-
-def registry_values(alloc: PowerAllocation, registry):
-    """Powers of an allocation in registry order (names P_<j>_<k>, Pd_<l>)."""
-    values = []
-    for name in registry:
-        parts = name.split("_")
-        if parts[0] == "P":
-            values.append(alloc.cellular[int(parts[1]) - 1, int(parts[2]) - 1])
-        else:
-            values.append(alloc.d2d[int(parts[1]) - 1])
-    return values
-
-
-def write_trace_csv(trace: IterationTrace, registry, path) -> None:
-    """Iteration rows (0 = starting point) with per-variable watts and dBm."""
-    from .channel import watts_to_dbm
-
-    def row(iteration, powers_vector, rate):
-        cells = [str(iteration)]
-        for v in powers_vector:
-            cells.append(repr(float(v)))
-            cells.append(repr(float(watts_to_dbm(v))) if v > 0 else "-inf")
-        cells.append(repr(float(rate)))
-        return ",".join(cells)
-
-    header = ["iteration"]
-    for name in registry:
-        header += [f"{name}_w", f"{name}_dbm"]
-    header.append("sum_rate_bits")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(row(0, registry_values(trace.initial_powers, registry),
-                     trace.initial_sum_rate_bits) + "\n")
-        for i, pt in enumerate(trace.points, start=1):
-            fh.write(row(i, registry_values(pt.powers, registry),
-                         pt.sum_rate_bits) + "\n")

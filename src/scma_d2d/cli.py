@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="iteration cap for the power allocator")
         p.add_argument("--jd", type=int, default=None,
                        help="override the number of D2D pairs")
-        p.add_argument("--trace", action="store_true",
-                       help="emit per-pass solver trace CSVs")
+        if name == "convergence":
+            p.add_argument("--trace", action="store_true",
+                           help="emit per-pass solver trace CSVs")
         if name.startswith("sweep"):
             p.add_argument("--sweep-dbm", default=None,
                            help="comma-separated cap values in dBm "
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
             num_seeds=args.seeds if args.seeds is not None else _DEFAULT_SEEDS[kind],
             sweep_values_dbm=_sweep_values(args) if kind.startswith("sweep") else (),
             t_max=args.tmax,
-            trace_solver=args.trace,
+            trace_solver=getattr(args, "trace", False),
         )
         spec.validate()
     except (ConfigError, ValueError, OSError) as err:

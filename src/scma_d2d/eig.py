@@ -22,6 +22,13 @@ class JacobiConvergenceError(RuntimeError):
     """Sweep limit reached before the off-diagonal threshold."""
 
 
+def _rotate_rows(m, p, q, c, s):
+    """Apply the rotation [[c, -s], [s, c]] to rows p and q of m in place."""
+    row_p = m[p].copy()
+    m[p] = c * row_p - s * m[q]
+    m[q] = s * row_p + c * m[q]
+
+
 def jacobi_eigh_symmetric(a, off_diag_rel_tol=1e-12, max_sweeps=60):
     """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
 
@@ -52,20 +59,10 @@ def jacobi_eigh_symmetric(a, off_diag_rel_tol=1e-12, max_sweeps=60):
                     t = 1.0
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                for m in (a,):
-                    row_p = m[p, :].copy()
-                    row_q = m[q, :].copy()
-                    m[p, :] = c * row_p - s * row_q
-                    m[q, :] = s * row_p + c * row_q
-                    col_p = m[:, p].copy()
-                    col_q = m[:, q].copy()
-                    m[:, p] = c * col_p - s * col_q
-                    m[:, q] = s * col_p + c * col_q
+                _rotate_rows(a, p, q, c, s)     # rows of a
+                _rotate_rows(a.T, p, q, c, s)   # columns of a
+                _rotate_rows(v.T, p, q, c, s)   # columns of v
                 a[p, q] = a[q, p] = 0.0
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - s * col_q
-                v[:, q] = s * col_p + c * col_q
     else:
         raise JacobiConvergenceError(f"no convergence in {max_sweeps} sweeps")
     w = np.diag(a).copy()

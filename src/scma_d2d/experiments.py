@@ -21,8 +21,8 @@ import numpy as np
 from .allocation import (
     InfeasibleScenarioError,
     allocate,
+    pack_allocation,
     random_baseline,
-    registry_values,
     sum_rate,
     variable_registry,
 )
@@ -103,6 +103,23 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _paired_rates(run_cfg: ScenarioConfig, graph, occupancy, t_max):
+    """Scaled (proposed, random) sum rates on the channels of run_cfg.seed,
+    or None when the QoS floors are jointly infeasible or the random
+    baseline finds no feasible draw."""
+    streams, ch = _draw(run_cfg, run_cfg.seed)
+    try:
+        trace = allocate(run_cfg, ch, graph, occupancy, t_max=t_max)
+    except InfeasibleScenarioError:
+        return None
+    draw = random_baseline(run_cfg, ch, graph, occupancy, streams.baseline)
+    if not draw.feasible:
+        return None
+    scale = run_cfg.rate_scale
+    return (trace.final.sum_rate_bits * scale,
+            sum_rate(ch, graph, occupancy, draw.allocation) * scale)
+
+
 @dataclass
 class ConvergenceResult:
     output_path: str
@@ -121,7 +138,7 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     cfg = spec.scenario
     graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
     occupancy = default_occupancy(cfg.J_D)
-    names, _ = variable_registry(graph, cfg.J_D)
+    names, cell_vars = variable_registry(graph, cfg.J_D)
     scale = cfg.rate_scale
 
     header = ["seed", "iteration"]
@@ -150,7 +167,7 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
         rates = trace.rates()
         for it, (alloc, rate) in enumerate(zip(allocs, rates)):
             cells = [str(seed), str(it)]
-            for v in registry_values(alloc, names):
+            for v in pack_allocation(cell_vars, alloc):
                 cells.append(_fmt(v))
                 cells.append(_fmt(watts_to_dbm(v)) if v > 0 else "-inf")
             cells.append(_fmt(rate * scale))
@@ -173,7 +190,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     cfg = spec.scenario
     graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
     occupancy = default_occupancy(cfg.J_D)
-    scale = cfg.rate_scale
 
     detail_path = spec.output_path
     summary_path = str(Path(spec.output_path).with_suffix("")) + "_summary.csv"
@@ -184,19 +200,12 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         infeasible = 0
         for seed in _seeds(spec):
             run_cfg = dataclasses.replace(cfg, seed=seed, **{cap_field: value})
-            streams, ch = _draw(run_cfg, seed)
-            try:
-                trace = allocate(run_cfg, ch, graph, occupancy, t_max=spec.t_max)
-                draw = random_baseline(run_cfg, ch, graph, occupancy,
-                                       streams.baseline)
-                if not draw.feasible:
-                    raise InfeasibleScenarioError(np.nan)
-            except InfeasibleScenarioError:
+            rates = _paired_rates(run_cfg, graph, occupancy, spec.t_max)
+            if rates is None:
                 infeasible += 1
                 detail.append(f"{_fmt(value)},{seed},,,0")
                 continue
-            p_rate = trace.final.sum_rate_bits * scale
-            r_rate = sum_rate(ch, graph, occupancy, draw.allocation) * scale
+            p_rate, r_rate = rates
             proposed.append(p_rate)
             random_rates.append(r_rate)
             detail.append(f"{_fmt(value)},{seed},{_fmt(p_rate)},{_fmt(r_rate)},1")
@@ -290,24 +299,17 @@ def run_baseline_comparison(spec: ExperimentSpec) -> ComparisonResult:
     cfg = spec.scenario
     graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
     occupancy = default_occupancy(cfg.J_D)
-    scale = cfg.rate_scale
     lines = ["seed,proposed_bits,random_bits,feasible"]
     proposed, random_rates = [], []
     infeasible = 0
     for seed in _seeds(spec):
         run_cfg = dataclasses.replace(cfg, seed=seed)
-        streams, ch = _draw(run_cfg, seed)
-        try:
-            trace = allocate(run_cfg, ch, graph, occupancy, t_max=spec.t_max)
-            draw = random_baseline(run_cfg, ch, graph, occupancy, streams.baseline)
-            if not draw.feasible:
-                raise InfeasibleScenarioError(np.nan)
-        except InfeasibleScenarioError:
+        rates = _paired_rates(run_cfg, graph, occupancy, spec.t_max)
+        if rates is None:
             infeasible += 1
             lines.append(f"{seed},,,0")
             continue
-        p_rate = trace.final.sum_rate_bits * scale
-        r_rate = sum_rate(ch, graph, occupancy, draw.allocation) * scale
+        p_rate, r_rate = rates
         proposed.append(p_rate)
         random_rates.append(r_rate)
         lines.append(f"{seed},{_fmt(p_rate)},{_fmt(r_rate)},1")

@@ -85,7 +85,7 @@ def objective_gradient_hessian(problem: ConvexFormProblem, y):
     return logsumexp_bundle(problem.objective_exponents, problem.objective_offsets, y)
 
 
-class _PackedConstraints:
+class PackedConstraints:
     """All inequality LSEs stacked for vectorized evaluation."""
 
     def __init__(self, exponent_blocks, offset_blocks, n):
@@ -269,7 +269,7 @@ def solve(problem: ConvexFormProblem, y0=None,
         return SolverResult(None, None, np.nan, INFEASIBLE, 0, np.inf)
     obj_a, obj_b, cons_a, cons_b, y_p, basis = reduced
     n_red = basis.shape[1]
-    packed = _PackedConstraints(cons_a, cons_b, n_red)
+    packed = PackedConstraints(cons_a, cons_b, n_red)
 
     if y0 is not None:
         y0 = np.asarray(y0, dtype=float)
@@ -326,7 +326,7 @@ def _find_feasible_reduced(packed, n, settings) -> FeasibilityResult:
     ext_a = [np.hstack([a, -np.ones((len(a), 1))])
              for a in np.split(packed.A, packed.starts[1:])]
     ext_b = list(np.split(packed.b, packed.starts[1:]))
-    ext_packed = _PackedConstraints(ext_a, ext_b, n + 1)
+    ext_packed = PackedConstraints(ext_a, ext_b, n + 1)
     obj_a = np.zeros((1, n + 1))
     obj_a[0, -1] = 1.0
     obj_b = np.zeros(1)
@@ -378,7 +378,7 @@ def find_feasible(problem: ConvexFormProblem,
         return FeasibilityResult(False, None, np.inf, INFEASIBLE)
     _, _, cons_a, cons_b, y_p, basis = reduced
     n_red = basis.shape[1]
-    packed = _PackedConstraints(cons_a, cons_b, n_red)
+    packed = PackedConstraints(cons_a, cons_b, n_red)
     res = _find_feasible_reduced(packed, n_red, settings)
     if res.y is not None:
         res = replace(res, y=y_p + basis @ res.y)

@@ -1,6 +1,8 @@
 """Tests for the complementary-GP build and the iterative power allocator."""
 
 import dataclasses
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,17 +16,17 @@ from scma_d2d.allocation import (
     expand_denominator,
     feasible_start,
     initial_allocation,
-    meets_qos,
     objective_sum_rate,
     pack_allocation,
+    qos_violation,
     random_baseline,
     sum_rate,
     unpack_allocation,
     variable_registry,
-    write_trace_csv,
 )
-from scma_d2d.capacity import PowerAllocation
+from scma_d2d.capacity import PowerAllocation, cellular_sinr, d2d_sinr, equivalent_noise
 from scma_d2d.channel import ChannelRealization, ScenarioConfig
+from scma_d2d.experiments import ExperimentSpec, run_convergence
 from scma_d2d.factor_graph import build_factor_graph
 from scma_d2d.gp import SolverSettings
 from scma_d2d.posynomial import condense, product
@@ -82,7 +84,7 @@ class TestBuildP2:
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         p2 = build_p2(cfg, ch, graph, occ)
         alloc = support_allocation(cfg, graph, np.random.default_rng(2))
-        x = pack_allocation(p2, alloc)
+        x = pack_allocation(p2.cell_vars, alloc)
         again = unpack_allocation(p2, x, (cfg.J, cfg.K))
         assert np.allclose(again.cellular, alloc.cellular)
         assert np.allclose(again.d2d, alloc.d2d)
@@ -144,7 +146,7 @@ class TestSumRate:
             p2 = build_p2(cfg, ch, graph, occ)
             alloc = support_allocation(cfg, graph, np.random.default_rng(seed))
             direct = sum_rate(ch, graph, occ, alloc)
-            packed = pack_allocation(p2, alloc)
+            packed = pack_allocation(p2.cell_vars, alloc)
             assert direct == pytest.approx(objective_sum_rate(p2, packed), rel=1e-10)
 
 
@@ -172,7 +174,7 @@ class TestAllocate:
         p2 = build_p2(cfg, ch, graph, occ)
         trace = allocate(cfg, ch, graph, occ)
         for p in trace.points:
-            vals = constraint_values(p2, pack_allocation(p2, p.powers))
+            vals = constraint_values(p2, pack_allocation(p2.cell_vars, p.powers))
             assert np.all(vals <= 1.0 + 1e-8)
 
     def test_some_variable_reaches_its_cap(self):
@@ -191,9 +193,10 @@ class TestAllocate:
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         trace = allocate(cfg, ch, graph, occ)
         assert trace.converged
-        x_star = pack_allocation(build_p2(cfg, ch, graph, occ), trace.final.powers)
+        cell_vars = build_p2(cfg, ch, graph, occ).cell_vars
+        x_star = pack_allocation(cell_vars, trace.final.powers)
         resumed = allocate(cfg, ch, graph, occ, t_max=trace.iterations_used + 1)
-        x_again = pack_allocation(build_p2(cfg, ch, graph, occ), resumed.final.powers)
+        x_again = pack_allocation(cell_vars, resumed.final.powers)
         assert np.all(np.abs(x_again - x_star) <= 1e-5 * np.abs(x_star))
 
     def test_single_pass(self):
@@ -210,18 +213,26 @@ class TestAllocate:
         assert err.value.max_slack > 0
 
     def test_trace_csv(self, tmp_path):
+        """The convergence CSV writes the allocator trace: one row for the
+        start point and one per pass, powers in registry order."""
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         p2 = build_p2(cfg, ch, graph, occ)
         trace = allocate(cfg, ch, graph, occ, t_max=2)
         out = tmp_path / "trace.csv"
-        write_trace_csv(trace, p2.registry, out)
+        run_convergence(ExperimentSpec(kind="convergence", scenario=cfg,
+                                       output_path=str(out), t_max=2))
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 1 + 2    # header, start point, two passes
         header = lines[0].split(",")
-        assert header[0] == "iteration"
-        assert header[1] == "P_1_1_w"
-        assert header[-1] == "sum_rate_bits"
-        assert float(lines[1].split(",")[-1]) == pytest.approx(trace.initial_sum_rate_bits)
+        assert header[:3] == ["seed", "iteration", "P_1_1_w"]
+        assert header[-2:] == ["sum_rate_bits", "converged"]
+        assert len(header) == 2 + 2 * len(p2.registry) + 2
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[1] for r in rows] == ["0", "1", "2"]
+        assert float(rows[0][-2]) == pytest.approx(
+            trace.initial_sum_rate_bits * cfg.rate_scale)
+        for row, rate in zip(rows, trace.rates()):
+            assert float(row[-2]) == pytest.approx(rate * cfg.rate_scale)
 
 
 class TestFeasibleStart:
@@ -229,7 +240,7 @@ class TestFeasibleStart:
         cfg, graph, ch, occ = make_scenario(seed=1, jd=1)
         p2 = build_p2(cfg, ch, graph, occ)
         x = feasible_start(cfg, graph, p2, SolverSettings())
-        expected = pack_allocation(p2, initial_allocation(cfg, graph))
+        expected = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
         assert np.allclose(x, expected)
 
     def test_phase1_rescues_violated_start(self):
@@ -241,10 +252,66 @@ class TestFeasibleStart:
             d2d_sinr(ch, initial_allocation(cfg, graph), 0, occ))
         cfg = dataclasses.replace(cfg, d2d_sinr_floor_db=start_sinr_db + 1.5)
         p2 = build_p2(cfg, ch, graph, occ)
-        x0 = pack_allocation(p2, initial_allocation(cfg, graph))
+        x0 = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
         assert constraint_values(p2, x0).max() > 1.0
         x = feasible_start(cfg, graph, p2, SolverSettings())
         assert constraint_values(p2, x).max() < 1.0
+
+
+def scalar_qos_violation(cfg, ch, graph, occ, alloc):
+    """Reference for qos_violation: the largest floor/SINR ratio from the
+    scalar per-link SINRs, inf where an SINR is 0."""
+    noise = equivalent_noise(ch, alloc, occ)
+    _, cell_vars = variable_registry(graph, cfg.J_D)
+    links = [(cfg.cellular_sinr_floor, cellular_sinr(ch, alloc, noise, graph, j, k))
+             for j, k in cell_vars]
+    links += [(cfg.d2d_sinr_floor, d2d_sinr(ch, alloc, l, occ))
+              for l in range(cfg.J_D)]
+    return max(np.inf if s == 0 else floor / s for floor, s in links)
+
+
+class TestQosViolation:
+    def test_matches_scalar_sinrs(self):
+        """Random allocations, some with powers exactly 0: the vectorized
+        check equals the scalar floor ratios and raises no warning.  The
+        floor pairs (cellular, D2D in dB) include one where the D2D links
+        bind and one where the cellular links do.  The scalar D2D
+        interference is a BLAS dot product, so agreement is to rounding,
+        not bit for bit."""
+        rng = np.random.default_rng(11)
+        seen = {"inf": 0, "violated": 0, "met": 0}
+        for (seed, jd), (floor_c, floor_d) in itertools.product(
+                ((0, 1), (1, 2), (3, 4), (4, 2)),
+                ((0.0, 10.0), (0.0, 60.0), (60.0, 0.0))):
+            cfg, graph, ch, occ = make_scenario(
+                seed=seed, jd=jd, cellular_sinr_floor_db=floor_c,
+                d2d_sinr_floor_db=floor_d)
+            for i in range(20):
+                alloc = support_allocation(
+                    cfg, graph, rng,
+                    cell_scale=cfg.cellular_power_cap_w / graph.d_f * 10 ** rng.uniform(-2, 0),
+                    d2d_scale=cfg.d2d_power_cap_w * 10 ** rng.uniform(-2, 0))
+                if i % 2:
+                    alloc.cellular[rng.uniform(size=alloc.cellular.shape) < 0.1] = 0.0
+                    alloc.d2d[rng.uniform(size=jd) < 0.2] = 0.0
+                want = scalar_qos_violation(cfg, ch, graph, occ, alloc)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = qos_violation(cfg, ch, graph, occ, alloc)
+                if np.isinf(want):
+                    assert got == np.inf
+                    seen["inf"] += 1
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+                    seen["met" if want <= 1.0 else "violated"] += 1
+        assert all(seen.values()), seen
+
+    def test_all_zero_powers(self):
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=2)
+        zero = PowerAllocation(np.zeros((cfg.J, cfg.K)), np.zeros(cfg.J_D))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qos_violation(cfg, ch, graph, occ, zero) == np.inf
 
 
 class TestRandomBaseline:
@@ -260,7 +327,7 @@ class TestRandomBaseline:
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         draw = random_baseline(cfg, ch, graph, occ, np.random.default_rng(6))
         assert draw.feasible
-        assert meets_qos(cfg, ch, graph, occ, draw.allocation)
+        assert qos_violation(cfg, ch, graph, occ, draw.allocation) <= 1.0
         assert np.all(draw.allocation.cellular <= cfg.cellular_power_cap_w / graph.d_f)
         assert np.all(draw.allocation.d2d <= cfg.d2d_power_cap_w)
         assert np.all(draw.allocation.cellular[graph.indicator.T == 0] == 0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scma_d2d.eig import (
     NonHermitianError,
@@ -99,3 +101,39 @@ class TestWeylInequality:
             slack = 1e-9 * (np.linalg.norm(a) + np.linalg.norm(b))
             assert np.all(wa + wb[0] <= wab + slack)
             assert np.all(wab <= wa + wb[-1] + slack)
+
+
+# six significant digits in [-10, 10]: keeps entries away from the
+# subnormal range, where no eigensolver's relative accuracy is defined
+_entries = st.integers(-10**6, 10**6).map(lambda i: i / 1e5)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Random Hermitian K x K (K <= 8), either with free entries or built as
+    U diag(w) U^H from a few distinct eigenvalues, so that some repeat."""
+    n = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-12, 3))
+    m = np.array(draw(st.lists(_entries, min_size=2 * n * n, max_size=2 * n * n)))
+    m = m[:n * n].reshape(n, n) + 1j * m[n * n:].reshape(n, n)
+    if draw(st.booleans()):
+        q = (m + m.conj().T) / 2
+    else:
+        distinct = draw(st.lists(_entries, min_size=1, max_size=n))
+        w = np.array([distinct[draw(st.integers(0, len(distinct) - 1))]
+                      for _ in range(n)])
+        u, _ = np.linalg.qr(m)
+        q = (u * w) @ u.conj().T
+        q = (q + q.conj().T) / 2
+    return scale * q
+
+
+@settings(max_examples=50, deadline=None)
+@given(hermitian_matrices())
+def test_property_matches_eigvalsh(q):
+    """Jacobi eigenvalues match LAPACK's to 1e-9 of the largest magnitude,
+    repeated eigenvalues included (they exercise the pairing of the doubled
+    spectrum of the real embedding)."""
+    want = np.linalg.eigvalsh(q)
+    got = hermitian_eigenvalues(q)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()

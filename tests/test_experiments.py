@@ -23,12 +23,16 @@ def spec_for(kind, tmp_path, **kw):
 
 class TestConvergenceExperiment:
     def test_single_pass_cap(self, tmp_path):
-        """t_max = 1 records exactly one optimization step per seed."""
+        """t_max = 1 records exactly one optimization step per seed; the
+        pass-0 row carries the starting point's sum rate."""
         spec = spec_for("convergence", tmp_path, num_seeds=1, t_max=1)
         result = run_convergence(spec)
         lines = open(result.output_path).read().strip().splitlines()
         assert len(lines) == 1 + 2          # header, pass 0 (start), pass 1
         assert result.traces[0].iterations_used == 1
+        start = lines[1].split(",")
+        assert start[1] == "0"
+        assert float(start[-2]) == result.traces[0].initial_sum_rate_bits
 
     def test_two_seeds_two_traces(self, tmp_path):
         spec = spec_for("convergence", tmp_path, num_seeds=2, t_max=3)
@@ -195,6 +199,12 @@ class TestCli:
         out = tmp_path / "b.csv"
         assert main(["bounds", "--seeds", "5", "--out", str(out)]) == 0
         assert "0 violation(s)" in capsys.readouterr().out
+
+    def test_trace_only_on_convergence(self, tmp_path):
+        """--trace exists only where it acts; elsewhere it is a usage error."""
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--trace", "--out", str(tmp_path / "cmp.csv")])
+        assert err.value.code == 2
 
     def test_compare_subcommand(self, tmp_path):
         out = tmp_path / "cmp.csv"
