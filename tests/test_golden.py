@@ -8,18 +8,27 @@ module as a script to write them again:
 
 Feasibility flags, random-baseline draw counts and random-allocation rates
 must match exactly, proposed rates to 1e-9 bits and powers to a relative
+1e-6.  The per-pass GP solver traces must match exactly in their outer
+iteration, barrier weight and gap, and to 1e-9 in the log objective; the
+phase-1 start's best log-slack to 1e-9 and its start vector to a relative
 1e-6.
 """
 
 import csv
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scma_d2d.allocation import random_baseline
+from scma_d2d.allocation import (
+    InfeasibleScenarioError,
+    build_p2,
+    feasible_start,
+    random_baseline,
+)
 from scma_d2d.capacity import default_occupancy
 from scma_d2d.channel import (
     ScenarioConfig,
@@ -34,6 +43,7 @@ from scma_d2d.experiments import (
     run_sweep,
 )
 from scma_d2d.factor_graph import build_factor_graph
+from scma_d2d.gp import SolverSettings
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -42,14 +52,19 @@ POWER_REL_TOL = 1e-6
 # the dBm columns are 10 log10 of the watt columns
 DBM_TOL = 10 * np.log10(1 + POWER_REL_TOL) + 1e-12
 
+SLACK_TOL = 1e-9
+OBJECTIVE_TOL = 1e-9
+
 EXACT_COLUMNS = {"seed", "iteration", "converged", "feasible", "sweep_dbm",
                  "random_bits", "mean_sum_rate_random",
-                 "num_infeasible_draws", "num_seeds_used"}
+                 "num_infeasible_draws", "num_seeds_used",
+                 "jd", "pass", "outer_iteration", "t", "gap"}
 RATE_COLUMNS = {"proposed_bits", "sum_rate_bits", "mean_sum_rate_proposed"}
 
 CSV_FILES = ("compare_jd2.csv", "sweep_cell_jd1.csv", "sweep_cell_jd1_summary.csv",
-             "convergence_jd1.csv", "convergence_jd2.csv")
+             "convergence_jd1.csv", "convergence_jd2.csv", "solver_trace_seed0.csv")
 DRAWS_FILE = "baseline_draws_jd2.json"
+START_FILE = "feasible_start_jd4.json"
 
 
 def record(out_dir):
@@ -81,6 +96,49 @@ def record(out_dir):
         draws[str(seed)] = {"draws_used": draw.draws_used, "feasible": draw.feasible}
     (out_dir / DRAWS_FILE).write_text(json.dumps(draws, indent=1) + "\n")
 
+    _record_solver_traces(out_dir / "solver_trace_seed0.csv")
+    _record_feasible_starts(out_dir / START_FILE)
+
+
+def _record_solver_traces(path):
+    """Every pass's GP solver trace of the seed-0 convergence run at
+    J_D = 1 and 2, stacked into one CSV."""
+    lines = ["jd,seed,pass,outer_iteration,t,objective,gap"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for jd in (1, 2):
+            result = run_convergence(ExperimentSpec(
+                "convergence", ScenarioConfig(J_D=jd, seed=0),
+                str(Path(tmp) / f"conv_jd{jd}.csv"), num_seeds=1,
+                trace_solver=True))
+            for it in range(result.traces[0].iterations_used):
+                trace = Path(tmp) / f"conv_jd{jd}_solver_seed0_pass{it}.csv"
+                for row in trace.read_text().splitlines()[1:]:
+                    lines.append(f"{jd},0,{it},{row}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _record_feasible_starts(path):
+    """feasible_start at J_D = 4 for seeds 0-39: the start vector, or the
+    best log-slack of the phase-1 certificate when the floors are
+    jointly unsatisfiable."""
+    cfg = ScenarioConfig(J_D=4)
+    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
+    occupancy = default_occupancy(cfg.J_D)
+    starts = {}
+    for seed in range(40):
+        run_cfg = dataclasses.replace(cfg, seed=seed)
+        streams = rng_streams(seed)
+        ch = sample_channels(run_cfg, sample_geometry(run_cfg, streams.geometry),
+                             streams.fading)
+        p2 = build_p2(run_cfg, ch, graph, occupancy)
+        try:
+            x = feasible_start(run_cfg, graph, p2, SolverSettings())
+        except InfeasibleScenarioError as err:
+            starts[str(seed)] = {"feasible": False, "max_slack": err.max_slack}
+            continue
+        starts[str(seed)] = {"feasible": True, "x": [float(v) for v in x]}
+    Path(path).write_text(json.dumps(starts, indent=1) + "\n")
+
 
 def _rows(path):
     with open(path, newline="") as fh:
@@ -99,6 +157,8 @@ def _cell_problem(column, want, got):
         ok = abs(got_f - want_f) <= POWER_REL_TOL * abs(want_f)
     elif column.endswith("_dbm"):
         ok = abs(got_f - want_f) <= DBM_TOL
+    elif column == "objective":
+        ok = abs(got_f - want_f) <= OBJECTIVE_TOL
     else:
         raise AssertionError(f"no tolerance defined for column {column!r}")
     return None if ok else "outside tolerance"
@@ -131,6 +191,20 @@ def test_baseline_draws_match_golden(fresh):
     want = json.loads((FIXTURES / DRAWS_FILE).read_text())
     got = json.loads((fresh / DRAWS_FILE).read_text())
     assert got == want
+
+
+def test_feasible_starts_match_golden(fresh):
+    want = json.loads((FIXTURES / START_FILE).read_text())
+    got = json.loads((fresh / START_FILE).read_text())
+    assert list(got) == list(want)
+    for seed, w in want.items():
+        g = got[seed]
+        assert g["feasible"] == w["feasible"], f"seed {seed}"
+        if w["feasible"]:
+            np.testing.assert_allclose(g["x"], w["x"], rtol=POWER_REL_TOL,
+                                       atol=0, err_msg=f"seed {seed}")
+        else:
+            assert abs(g["max_slack"] - w["max_slack"]) <= SLACK_TOL, f"seed {seed}"
 
 
 if __name__ == "__main__":
