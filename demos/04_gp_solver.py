@@ -7,7 +7,6 @@ import numpy as np
 from scma_d2d import (
     Monomial,
     Posynomial,
-    SolverSettings,
     condense,
     find_feasible,
     solve,
@@ -44,6 +43,6 @@ bad = to_convex_form(objective, constraints=[
     Monomial.from_powers(reg, np.e, {"x1": 1}).as_posynomial(),    # x1 <= 1/e
     Monomial.from_powers(reg, np.e, {"x1": -1}).as_posynomial(),   # x1 >= e
 ])
-feas = find_feasible(bad, SolverSettings())
+feas = find_feasible(bad)
 print(f"\ncontradictory caps: feasible={feas.feasible}, "
       f"best log-slack {feas.max_slack:.3f} (> 0 certifies empty)")

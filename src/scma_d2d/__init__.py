@@ -88,7 +88,6 @@ from .factor_graph import (
 )
 from .gp import (
     SolverResult,
-    SolverSettings,
     find_feasible,
     objective_gradient_hessian,
     solve,

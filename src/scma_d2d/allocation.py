@@ -16,7 +16,7 @@ the per-pair D2D powers]; all values are watts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +30,18 @@ from .capacity import (
 )
 from .channel import ChannelRealization, ScenarioConfig
 from .factor_graph import FactorGraph, incidence_sets
-from .gp import OPTIMAL, PackedConstraints, SolverSettings, find_feasible, solve
+from .gp import OPTIMAL, PackedConstraints, find_feasible, solve
 from .posynomial import (
-    ConvexFormProblem,
     Monomial,
     Posynomial,
     condense,
     product,
     to_convex_form,
 )
+
+# the condense-and-solve loop stops once a pass changes the sum rate by
+# at most this fraction of max(1, previous rate)
+REL_TOL = 1e-6
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -231,23 +234,18 @@ class IterationTrace:
         return [self.initial_sum_rate_bits] + [p.sum_rate_bits for p in self.points]
 
 
-def _constraint_arrays(p2: P2Problem) -> ConvexFormProblem:
-    return to_convex_form(Posynomial.constant(p2.registry, 1.0),
-                          constraints=p2.constraints)
-
-
-def feasible_start(cfg, graph, p2: P2Problem,
-                   settings: SolverSettings) -> np.ndarray:
+def feasible_start(cfg, graph, p2: P2Problem) -> np.ndarray:
     """Packed starting vector: the half-cap point when it already meets the
     QoS floors strictly, otherwise a phase-1 solution.  Raises
     InfeasibleScenarioError when the constraint set is certified empty."""
-    cons = _constraint_arrays(p2)
+    cons = to_convex_form(Posynomial.constant(p2.registry, 1.0),
+                          constraints=p2.constraints)
     x0 = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
     packed = PackedConstraints(cons.constraint_exponents, cons.constraint_offsets,
                                p2.n_variables)
     if packed.values(np.log(x0)).max() < 0:
         return x0
-    feas = find_feasible(cons, settings)
+    feas = find_feasible(cons)
     if not feas.feasible:
         raise InfeasibleScenarioError(feas.max_slack)
     return np.exp(feas.y)
@@ -255,27 +253,24 @@ def feasible_start(cfg, graph, p2: P2Problem,
 
 def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
              occupancy, t_max: int = 10,
-             settings: SolverSettings | None = None,
-             rel_tol: float = 1e-6,
              solver_trace_pattern: str | None = None) -> IterationTrace:
     """Run the iterative condensation loop from the half-cap start.
 
     Each pass condenses the expanded denominator at the current powers,
     solves the resulting GP under the original constraints, and moves to
-    its optimum; stops after t_max passes or once the relative sum-rate
-    change drops below rel_tol.  The solver gap is kept at 1e-9 so that
-    certified suboptimality stays well inside the 1e-8-bit monotonicity
-    budget.  solver_trace_pattern, when given, is formatted with the pass
-    index to name a per-pass solver trace CSV.
+    its optimum; stops after t_max passes (at least 1) or once the
+    relative sum-rate change drops to REL_TOL.  The solver certifies each
+    pass to its gap of gp.DUALITY_GAP_TOL = 1e-9, well inside the
+    1e-8-bit monotonicity budget.  solver_trace_pattern, when given, is
+    formatted with the pass index to name a per-pass solver trace CSV.
     """
-    # tighter default gap than the solver's own: see docstring
-    settings = settings or SolverSettings(duality_gap_tol=1e-9)
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
     p2 = build_p2(cfg, ch, graph, occupancy)
     numerator = product(p2.numerator_factors)
     denominator = expand_denominator(p2)
-    cons = _constraint_arrays(p2)
 
-    x = feasible_start(cfg, graph, p2, settings)
+    x = feasible_start(cfg, graph, p2)
     shape = (cfg.J, cfg.K)
     start = unpack_allocation(p2, x, shape)
     prev_rate = sum_rate(ch, graph, occupancy, start)
@@ -283,26 +278,18 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
                            points=[], converged=False)
     y = np.log(x)
     for it in range(t_max):
-        if solver_trace_pattern is not None:
-            settings = replace(settings, trace_path=solver_trace_pattern.format(it))
+        trace_path = (None if solver_trace_pattern is None
+                      else solver_trace_pattern.format(it))
         surrogate = numerator.divide_by_monomial(condense(denominator, x))
-        problem = ConvexFormProblem(
-            registry=p2.registry,
-            objective_exponents=surrogate.exponents,
-            objective_offsets=np.log(surrogate.coefficients),
-            constraint_exponents=cons.constraint_exponents,
-            constraint_offsets=cons.constraint_offsets,
-            equality_exponents=cons.equality_exponents,
-            equality_offsets=cons.equality_offsets,
-        )
-        res = solve(problem, y0=y, settings=settings)
+        res = solve(to_convex_form(surrogate, constraints=p2.constraints), y0=y,
+                    trace_path=trace_path)
         if res.status != OPTIMAL:
             raise AllocationSolverError(f"GP solve returned {res.status}")
         x, y = res.x, res.y
         alloc = unpack_allocation(p2, x, shape)
         rate = sum_rate(ch, graph, occupancy, alloc)
         trace.points.append(IterationPoint(alloc, rate, res.status))
-        if abs(rate - prev_rate) <= rel_tol * max(1.0, abs(prev_rate)):
+        if abs(rate - prev_rate) <= REL_TOL * max(1.0, abs(prev_rate)):
             trace.converged = True
             break
         prev_rate = rate

@@ -64,6 +64,8 @@ class ExperimentSpec:
             raise ValueError("sweep experiments need a non-empty sweep list")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be at least 1")
+        if self.t_max < 1:
+            raise ValueError("t_max must be at least 1")
         self.scenario.validate()
         return self
 

@@ -151,10 +151,6 @@ class CodebookSkeleton:
         if np.any(self.qam_covariance < 0):
             raise DimensionError("qam_covariance entries must be non-negative")
 
-    @property
-    def n_users(self):
-        return len(self.selectors)
-
 
 def default_rotation(N: int) -> np.ndarray:
     """N x 2N spreading built from the unitary 2N-point DFT: the first-N /

@@ -1,12 +1,10 @@
 """Barrier interior-point solver for convex-form geometric programs.
 
-Solves   min  lse_0(y)   s.t.  lse_s(y) <= 0,  A_eq y + b_eq = 0
+Solves   min  lse_0(y)   s.t.  lse_s(y) <= 0
 where lse(y) = log sum_m exp(a_m.y + b_m).  The problem is convex, so the
 primal barrier method with damped Newton centering reaches the global
 optimum with a certified gap of (number of inequalities) / t at barrier
-weight t.  Affine equalities are eliminated up front (y = y_p + Z v with Z
-a nullspace basis), which the power-allocation pipeline never needs but
-the standard form admits.
+weight t (Boyd & Vandenberghe, Convex Optimization, 11.3-11.4).
 
 All log-sum-exp evaluations are max-shifted, so exponents of several
 hundred in magnitude are handled without overflow.
@@ -14,7 +12,7 @@ hundred in magnitude are handled without overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +26,17 @@ MAX_ITERATIONS = "max_iterations"
 # this much negative slack in log form
 FEASIBILITY_MARGIN = 1e-6
 
+# the barrier weight t runs through INITIAL_T * BARRIER_MU**i
+BARRIER_MU = 10.0
+INITIAL_T = 1.0
+NEWTON_TOL = 1e-9             # tolerance on the Newton decrement
+MAX_NEWTON = 100              # Newton iteration cap per centering
+LINE_SEARCH_BACKTRACK = 0.5   # step shrink factor, in (0, 1)
+LINE_SEARCH_SLOPE = 0.1       # Armijo constant, in (0, 0.5)
 
-@dataclass
-class SolverSettings:
-    barrier_mu: float = 10.0            # multiplicative barrier update, > 1
-    initial_t: float = 1.0              # starting barrier weight
-    newton_tol: float = 1e-9            # tolerance on the Newton decrement
-    max_newton: int = 100               # Newton iteration cap per centering
-    duality_gap_tol: float = 1e-8       # certified gap (log-objective units) at exit
-    line_search_backtrack: float = 0.5  # step shrink factor, in (0, 1)
-    line_search_slope: float = 0.1      # Armijo constant, in (0, 0.5)
-    trace_path: str | None = None       # CSV of (outer, t, objective, gap) when set
-
-    def __post_init__(self):
-        if not self.barrier_mu > 1:
-            raise ValueError("barrier_mu must be > 1")
-        if not 0 < self.line_search_backtrack < 1:
-            raise ValueError("line_search_backtrack must be in (0, 1)")
-        if not 0 < self.line_search_slope < 0.5:
-            raise ValueError("line_search_slope must be in (0, 0.5)")
+# certified gap (log-objective units) at exit; 1e-9 keeps each allocator
+# pass's certified suboptimality well inside its 1e-8-bit ascent budget
+DUALITY_GAP_TOL = 1e-9
 
 
 @dataclass
@@ -175,11 +165,11 @@ def _regularized_newton_step(hess, grad):
     raise np.linalg.LinAlgError("Newton system could not be regularized")
 
 
-def _center(barrier, y, t, settings, callback=None):
+def _center(barrier, y, t, callback=None):
     """Damped Newton to the analytic center for barrier weight t.
 
     Stops when the Newton decrement (the H^-1-weighted gradient norm)
-    falls below newton_tol or below the float64 rounding floor of the
+    falls below NEWTON_TOL or below the float64 rounding floor of the
     barrier value itself: at large t the barrier magnitude reaches ~t*|f0|
     and quadratic-model improvements smaller than eps times that are not
     representable, so demanding more would spin.  Returns (y, centered,
@@ -187,23 +177,23 @@ def _center(barrier, y, t, settings, callback=None):
     """
     steps = 0
     eps = np.finfo(float).eps
-    for _ in range(settings.max_newton):
+    for _ in range(MAX_NEWTON):
         val, grad, hess, _ = barrier.bundle(y, t)
         delta = _regularized_newton_step(hess, grad)
         descent = float(grad @ delta)
         decrement = np.sqrt(max(-descent, 0.0))
         noise_floor = np.sqrt(32.0 * eps * abs(val))
-        if decrement <= max(settings.newton_tol, noise_floor):
+        if decrement <= max(NEWTON_TOL, noise_floor):
             return y, True, steps
         alpha = 1.0
         accepted = None
         while alpha >= 1e-18:
             cand = y + alpha * delta
             got = barrier.value(cand, t)
-            if got is not None and got[0] <= val + settings.line_search_slope * alpha * descent:
+            if got is not None and got[0] <= val + LINE_SEARCH_SLOPE * alpha * descent:
                 accepted = cand
                 break
-            alpha *= settings.line_search_backtrack
+            alpha *= LINE_SEARCH_BACKTRACK
         if accepted is None or got[0] >= val:
             # rounding floor: no representable progress possible
             return y, True, steps
@@ -214,127 +204,99 @@ def _center(barrier, y, t, settings, callback=None):
     return y, False, steps
 
 
-def _nullspace_map(a_eq, b_eq):
-    """Particular solution and nullspace basis of A y + b = 0."""
-    y_p, *_ = np.linalg.lstsq(a_eq, -b_eq, rcond=None)
-    if not np.allclose(a_eq @ y_p + b_eq, 0.0, atol=1e-9):
-        return None, None
-    _, sing, vh = np.linalg.svd(a_eq)
-    tol = max(a_eq.shape) * np.finfo(float).eps * (sing[0] if sing.size else 0.0)
-    rank = int((sing > tol).sum())
-    return y_p, vh[rank:].T
+def _central_path(barrier, y, callback=None):
+    """Center at t = INITIAL_T, then BARRIER_MU times more each round,
+    until callback(y) asks to stop, a centering hits the Newton cap, or
+    the certified gap m/t is at most DUALITY_GAP_TOL.
+
+    Returns (y, t, status, steps, rows) with one (outer, t, f0, gap) row
+    per centering; status is MAX_ITERATIONS after a capped centering and
+    OPTIMAL otherwise.
+    """
+    m = barrier.packed.count
+    t = INITIAL_T
+    total_steps = 0
+    rows = []
+    while True:
+        y, centered, steps = _center(barrier, y, t, callback)
+        total_steps += steps
+        _, f0 = barrier.value(y, t)
+        rows.append((len(rows), t, f0, m / t))
+        if callback is not None and callback(y):
+            return y, t, OPTIMAL, total_steps, rows
+        if not centered:
+            return y, t, MAX_ITERATIONS, total_steps, rows
+        if m / t <= DUALITY_GAP_TOL:
+            return y, t, OPTIMAL, total_steps, rows
+        t *= BARRIER_MU
 
 
-def _reduce_equalities(problem):
-    """Eliminate affine equalities; returns (obj_a, obj_b, cons_a, cons_b,
-    y_particular, basis) in the reduced variable, or None if inconsistent."""
-    a_eq, b_eq = problem.equality_exponents, problem.equality_offsets
-    if len(b_eq) == 0:
-        n = problem.n_variables
-        return (problem.objective_exponents, problem.objective_offsets,
-                problem.constraint_exponents, problem.constraint_offsets,
-                np.zeros(n), np.eye(n))
-    y_p, basis = _nullspace_map(a_eq, b_eq)
-    if y_p is None:
-        return None
-    obj_a = problem.objective_exponents @ basis
-    obj_b = problem.objective_offsets + problem.objective_exponents @ y_p
-    cons_a = [a @ basis for a in problem.constraint_exponents]
-    cons_b = [b + a @ y_p for a, b in zip(problem.constraint_exponents,
-                                          problem.constraint_offsets)]
-    return obj_a, obj_b, cons_a, cons_b, y_p, basis
-
-
-def _trace_write(settings, rows):
-    if settings.trace_path is None:
-        return
-    with open(settings.trace_path, "w") as fh:
+def _trace_write(path, rows):
+    with open(path, "w") as fh:
         fh.write("outer_iteration,t,objective,gap\n")
         for outer, t, f0, gap in rows:
             fh.write(f"{outer},{float(t)!r},{float(f0)!r},{float(gap)!r}\n")
 
 
-def solve(problem: ConvexFormProblem, y0=None,
-          settings: SolverSettings | None = None) -> SolverResult:
+def solve(problem: ConvexFormProblem, y0=None, *,
+          trace_path: str | None = None) -> SolverResult:
     """Solve a convex-form GP to its global optimum.
 
     y0 must be strictly feasible for all inequalities when given; when
-    omitted, a phase-1 problem is solved first.  Returns status
-    "infeasible" (with the phase-1 certificate folded into max_slack
-    reporting) when no strictly feasible point exists.
+    omitted, find_feasible supplies one.  Returns status "infeasible"
+    when phase-1 certifies that no strictly feasible point exists.
+    trace_path, when set, names a CSV of (outer, t, objective, gap), one
+    row per centering.
     """
-    settings = settings or SolverSettings()
-    reduced = _reduce_equalities(problem)
-    if reduced is None:
-        return SolverResult(None, None, np.nan, INFEASIBLE, 0, np.inf)
-    obj_a, obj_b, cons_a, cons_b, y_p, basis = reduced
-    n_red = basis.shape[1]
-    packed = PackedConstraints(cons_a, cons_b, n_red)
-
-    if y0 is not None:
-        y0 = np.asarray(y0, dtype=float)
-        if len(problem.equality_offsets) and not np.allclose(
-                problem.equality_exponents @ y0 + problem.equality_offsets, 0.0,
-                atol=1e-9):
-            raise ValueError("y0 violates the equality constraints")
-        v = basis.T @ (y0 - y_p)
-        vals = packed.values(v)
-        if vals.size and vals.max() >= 0:
-            raise ValueError("y0 is not strictly feasible")
-    else:
-        feas = _find_feasible_reduced(packed, n_red, settings)
+    if y0 is None:
+        feas = find_feasible(problem)
         if not feas.feasible:
             status = MAX_ITERATIONS if feas.status == MAX_ITERATIONS else INFEASIBLE
             return SolverResult(None, None, np.nan, status, 0, np.inf)
-        v = feas.y
+        y0 = feas.y
+    packed = PackedConstraints(problem.constraint_exponents,
+                               problem.constraint_offsets, problem.n_variables)
+    y = np.asarray(y0, dtype=float)
+    vals = packed.values(y)
+    if vals.size and vals.max() >= 0:
+        raise ValueError("y0 is not strictly feasible")
 
-    barrier = _Barrier(obj_a, obj_b, packed)
-    m = packed.count
-    t = settings.initial_t
-    total_steps = 0
-    status = OPTIMAL
-    trace_rows = []
-    outer = 0
-    while True:
-        v, centered, steps = _center(barrier, v, t, settings)
-        total_steps += steps
-        if not centered:
-            status = MAX_ITERATIONS
-        gap = m / t
-        _, f0 = barrier.value(v, t)
-        trace_rows.append((outer, t, f0, gap))
-        if gap <= settings.duality_gap_tol or status == MAX_ITERATIONS:
-            break
-        t *= settings.barrier_mu
-        outer += 1
-    _trace_write(settings, trace_rows)
-
-    y = y_p + basis @ v
-    _, f0 = barrier.value(v, t)
+    barrier = _Barrier(problem.objective_exponents, problem.objective_offsets, packed)
+    y, t, status, steps, rows = _central_path(barrier, y)
+    if trace_path is not None:
+        _trace_write(trace_path, rows)
+    f0 = rows[-1][2]
     return SolverResult(y=y, x=np.exp(y), objective_value=float(np.exp(f0)),
-                        status=status, newton_steps_used=total_steps,
-                        certified_gap=m / t)
+                        status=status, newton_steps_used=steps,
+                        certified_gap=packed.count / t)
 
 
-def _find_feasible_reduced(packed, n, settings) -> FeasibilityResult:
-    """Phase-1 in the (already equality-reduced) variable space."""
+def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
+    """Find a strictly feasible point for the problem's inequalities.
+
+    Minimizes an auxiliary slack tau subject to lse_s(y) <= tau, stopping
+    as soon as a point with all slacks below -1e-6 appears.  When the
+    phase-1 optimum certifies min tau >= -1e-6 the problem is reported
+    infeasible along with the best achieved slack.
+    """
+    n = problem.n_variables
+    packed = PackedConstraints(problem.constraint_exponents,
+                               problem.constraint_offsets, n)
     if packed.count == 0:
         return FeasibilityResult(True, np.zeros(n), -np.inf, OPTIMAL)
 
-    # extended variable (v, tau); constraints lse_s(v) - tau <= 0 are again
+    # extended variable (y, tau); constraints lse_s(y) - tau <= 0 are again
     # LSEs with an exponent of -1 on tau
     ext_a = [np.hstack([a, -np.ones((len(a), 1))])
-             for a in np.split(packed.A, packed.starts[1:])]
-    ext_b = list(np.split(packed.b, packed.starts[1:]))
-    ext_packed = PackedConstraints(ext_a, ext_b, n + 1)
+             for a in problem.constraint_exponents]
+    ext_packed = PackedConstraints(ext_a, problem.constraint_offsets, n + 1)
     obj_a = np.zeros((1, n + 1))
     obj_a[0, -1] = 1.0
-    obj_b = np.zeros(1)
-    barrier = _Barrier(obj_a, obj_b, ext_packed)
+    barrier = _Barrier(obj_a, np.zeros(1), ext_packed)
 
-    v = np.zeros(n)
-    tau = float(packed.values(v).max()) + 1.0
-    z = np.concatenate([v, [tau]])
+    y = np.zeros(n)
+    tau = float(packed.values(y).max()) + 1.0
+    z = np.concatenate([y, [tau]])
     best_slack = tau - 1.0
 
     def early_exit(point):
@@ -344,42 +306,9 @@ def _find_feasible_reduced(packed, n, settings) -> FeasibilityResult:
         return slack < -FEASIBILITY_MARGIN
 
     if early_exit(z):
-        return FeasibilityResult(True, v, best_slack, OPTIMAL)
-
-    m = ext_packed.count
-    t = settings.initial_t
-    gap_tol = max(settings.duality_gap_tol, 1e-9)
-    status = OPTIMAL
-    while True:
-        z, centered, _ = _center(barrier, z, t, settings, callback=early_exit)
-        if early_exit(z):
-            return FeasibilityResult(True, z[:-1], best_slack, OPTIMAL)
-        if not centered:
-            status = MAX_ITERATIONS
-            break
-        if m / t <= gap_tol:
-            break
-        t *= settings.barrier_mu
+        return FeasibilityResult(True, y, best_slack, OPTIMAL)
+    z, _, status, _, _ = _central_path(barrier, z, callback=early_exit)
+    if best_slack < -FEASIBILITY_MARGIN:
+        # early_exit stops the path at the first point that clears the margin
+        return FeasibilityResult(True, z[:-1], best_slack, OPTIMAL)
     return FeasibilityResult(False, None, best_slack, status)
-
-
-def find_feasible(problem: ConvexFormProblem,
-                  settings: SolverSettings | None = None) -> FeasibilityResult:
-    """Find a strictly feasible point for the problem's inequalities.
-
-    Minimizes an auxiliary slack tau subject to lse_s(y) <= tau, stopping
-    as soon as a point with all slacks below -1e-6 appears.  When the
-    phase-1 optimum certifies min tau >= -1e-6 the problem is reported
-    infeasible along with the best achieved slack.
-    """
-    settings = settings or SolverSettings()
-    reduced = _reduce_equalities(problem)
-    if reduced is None:
-        return FeasibilityResult(False, None, np.inf, INFEASIBLE)
-    _, _, cons_a, cons_b, y_p, basis = reduced
-    n_red = basis.shape[1]
-    packed = PackedConstraints(cons_a, cons_b, n_red)
-    res = _find_feasible_reduced(packed, n_red, settings)
-    if res.y is not None:
-        res = replace(res, y=y_p + basis @ res.y)
-    return res

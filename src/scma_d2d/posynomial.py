@@ -167,9 +167,6 @@ class Posynomial:
                           self.coefficients / m.coefficient,
                           self.exponents - m.exponents)
 
-    def scale(self, factor) -> "Posynomial":
-        return Posynomial(self.registry, self.coefficients * factor, self.exponents)
-
     def format_lines(self):
         """Human-readable dump, one "c * x^a * ..." line per term."""
         lines = []
@@ -241,8 +238,7 @@ class ConvexFormProblem:
     """Log-variable image of a GP in standard form.
 
     Objective and each inequality are log-sum-exp term lists
-    (offsets are logs of the positive coefficients); monomial equalities
-    become affine rows a.y + b = 0.
+    (offsets are logs of the positive coefficients).
     """
 
     registry: Registry
@@ -250,8 +246,6 @@ class ConvexFormProblem:
     objective_offsets: np.ndarray        # (M0,)
     constraint_exponents: list           # S arrays (Ms, n)
     constraint_offsets: list             # S arrays (Ms,)
-    equality_exponents: np.ndarray       # (T, n)
-    equality_offsets: np.ndarray         # (T,)
 
     @property
     def n_variables(self):
@@ -262,27 +256,19 @@ class ConvexFormProblem:
         return len(self.constraint_exponents)
 
 
-def to_convex_form(objective: Posynomial, constraints=(), equalities=()) -> ConvexFormProblem:
-    """Map a standard-form GP (min posynomial, posynomials <= 1, monomials = 1)
-    to its convex log-sum-exp image in y = log x."""
+def to_convex_form(objective: Posynomial, constraints=()) -> ConvexFormProblem:
+    """Map a standard-form GP (min posynomial s.t. posynomials <= 1) to its
+    convex log-sum-exp image in y = log x."""
     reg = objective.registry
     cons_a, cons_b = [], []
     for g in constraints:
         _check_registry(reg, g.registry)
         cons_a.append(g.exponents.copy())
         cons_b.append(np.log(g.coefficients))
-    eq_a = np.zeros((len(tuple(equalities)), len(reg)))
-    eq_b = np.zeros(len(eq_a))
-    for t, h in enumerate(equalities):
-        _check_registry(reg, h.registry)
-        eq_a[t] = h.exponents
-        eq_b[t] = np.log(h.coefficient)
     return ConvexFormProblem(
         registry=reg,
         objective_exponents=objective.exponents.copy(),
         objective_offsets=np.log(objective.coefficients),
         constraint_exponents=cons_a,
         constraint_offsets=cons_b,
-        equality_exponents=eq_a,
-        equality_offsets=eq_b,
     )

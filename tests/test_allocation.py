@@ -28,7 +28,6 @@ from scma_d2d.capacity import PowerAllocation, cellular_sinr, d2d_sinr, equivale
 from scma_d2d.channel import ChannelRealization, ScenarioConfig
 from scma_d2d.experiments import ExperimentSpec, run_convergence
 from scma_d2d.factor_graph import build_factor_graph
-from scma_d2d.gp import SolverSettings
 from scma_d2d.posynomial import condense, product
 
 
@@ -204,6 +203,12 @@ class TestAllocate:
         trace = allocate(cfg, ch, graph, occ, t_max=1)
         assert trace.iterations_used == 1
 
+    def test_pass_cap_below_one_rejected(self):
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
+        for t_max in (0, -1):
+            with pytest.raises(ValueError, match="t_max"):
+                allocate(cfg, ch, graph, occ, t_max=t_max)
+
     def test_infeasible_draw_reported(self):
         """A deep-faded link that cannot reach its floor raises, with the
         achieved slack attached."""
@@ -239,7 +244,7 @@ class TestFeasibleStart:
     def test_half_cap_point_used_when_feasible(self):
         cfg, graph, ch, occ = make_scenario(seed=1, jd=1)
         p2 = build_p2(cfg, ch, graph, occ)
-        x = feasible_start(cfg, graph, p2, SolverSettings())
+        x = feasible_start(cfg, graph, p2)
         expected = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
         assert np.allclose(x, expected)
 
@@ -254,7 +259,7 @@ class TestFeasibleStart:
         p2 = build_p2(cfg, ch, graph, occ)
         x0 = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
         assert constraint_values(p2, x0).max() > 1.0
-        x = feasible_start(cfg, graph, p2, SolverSettings())
+        x = feasible_start(cfg, graph, p2)
         assert constraint_values(p2, x).max() < 1.0
 
 

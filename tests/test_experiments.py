@@ -175,6 +175,13 @@ class TestCli:
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["convergence", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_pass_cap_below_one_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--seeds", "1", "--tmax", "0",
+                     "--out", str(out)]) == 2
+        assert "error: t_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_sweep_list_exits_two(self, tmp_path):
         assert main(["sweep-cell", "--sweep-dbm", "abc",
                      "--out", str(tmp_path / "s.csv")]) == 2

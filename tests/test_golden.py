@@ -43,7 +43,6 @@ from scma_d2d.experiments import (
     run_sweep,
 )
 from scma_d2d.factor_graph import build_factor_graph
-from scma_d2d.gp import SolverSettings
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -132,7 +131,7 @@ def _record_feasible_starts(path):
                              streams.fading)
         p2 = build_p2(run_cfg, ch, graph, occupancy)
         try:
-            x = feasible_start(run_cfg, graph, p2, SolverSettings())
+            x = feasible_start(run_cfg, graph, p2)
         except InfeasibleScenarioError as err:
             starts[str(seed)] = {"feasible": False, "max_slack": err.max_slack}
             continue

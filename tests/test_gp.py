@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from scma_d2d import gp
 from scma_d2d.gp import (
     INFEASIBLE,
+    MAX_ITERATIONS,
     OPTIMAL,
     FeasibilityResult,
-    SolverSettings,
     find_feasible,
     logsumexp_bundle,
     objective_gradient_hessian,
@@ -30,8 +31,6 @@ def lse_problem(registry, obj_a, obj_b, cons=()):
         objective_offsets=np.asarray(obj_b, dtype=float).reshape(-1),
         constraint_exponents=[np.asarray(a, dtype=float).reshape(-1, n) for a, _ in cons],
         constraint_offsets=[np.asarray(b, dtype=float).reshape(-1) for _, b in cons],
-        equality_exponents=np.zeros((0, n)),
-        equality_offsets=np.zeros(0),
     )
 
 
@@ -192,6 +191,19 @@ class TestFeasibility:
         assert res.status == INFEASIBLE
         assert res.y is None
 
+    def test_phase1_newton_cap_reported(self, monkeypatch):
+        """A phase-1 centering that hits the Newton cap is reported as
+        max_iterations, not as an infeasibility certificate."""
+        monkeypatch.setattr(gp, "MAX_NEWTON", 1)
+        p = lse_problem(("y",), [[1.0]], [0.0],
+                        cons=[([[1.0]], [1.0]), ([[-1.0]], [1.0])])
+        res = solve(p)
+        assert res.status == MAX_ITERATIONS
+        assert res.y is None
+        feas = find_feasible(p)
+        assert not feas.feasible
+        assert feas.status == MAX_ITERATIONS
+
     def test_solve_rejects_infeasible_y0(self):
         p = lse_problem(("y",), [[1.0]], [0.0], cons=[([[1.0]], [0.0])])
         with pytest.raises(ValueError):
@@ -211,9 +223,8 @@ class TestSolverBehaviour:
             Monomial.from_powers(reg, 0.25, {"x2": 1}).as_posynomial(),
         ]
         trace = tmp_path / "trace.csv"
-        settings = SolverSettings(trace_path=str(trace))
         res = solve(to_convex_form(obj, constraints=cons), y0=np.zeros(2),
-                    settings=settings)
+                    trace_path=str(trace))
         assert res.status == OPTIMAL
         rows = trace.read_text().strip().splitlines()[1:]
         objs = [float(r.split(",")[2]) for r in rows]
@@ -253,8 +264,9 @@ class TestSolverBehaviour:
         vals = (np.exp(-g1) + np.exp(-2 * g2) + 2 * np.exp(g1 + g2))
         assert res.objective_value == pytest.approx(vals.min(), rel=1e-3)
 
-    def test_newton_cap_reported(self):
+    def test_newton_cap_reported(self, monkeypatch):
         """A starved Newton budget surfaces as max_iterations status."""
+        monkeypatch.setattr(gp, "MAX_NEWTON", 1)
         reg = ("x1", "x2")
         obj = Posynomial.from_monomials([
             Monomial.from_powers(reg, 1.0, {"x1": -1, "x2": -1}),
@@ -262,19 +274,5 @@ class TestSolverBehaviour:
         ])
         cons = [Monomial.from_powers(reg, 0.25, {"x1": 1}).as_posynomial(),
                 Monomial.from_powers(reg, 0.25, {"x2": 1}).as_posynomial()]
-        res = solve(to_convex_form(obj, constraints=cons), y0=np.zeros(2),
-                    settings=SolverSettings(max_newton=1))
+        res = solve(to_convex_form(obj, constraints=cons), y0=np.zeros(2))
         assert res.status == "max_iterations"
-
-    def test_equality_elimination(self):
-        """min x1 + x2 s.t. x1 x2 = 4 gives x1 = x2 = 2 by symmetry."""
-        reg = ("x1", "x2")
-        obj = Posynomial.from_monomials([
-            Monomial.from_powers(reg, 1.0, {"x1": 1}),
-            Monomial.from_powers(reg, 1.0, {"x2": 1}),
-        ])
-        h = Monomial.from_powers(reg, 0.25, {"x1": 1, "x2": 1})
-        res = solve(to_convex_form(obj, equalities=[h]), y0=None)
-        assert res.status == OPTIMAL
-        assert res.x == pytest.approx([2.0, 2.0], rel=1e-6)
-        assert res.x[0] * res.x[1] == pytest.approx(4.0, rel=1e-9)

@@ -223,10 +223,3 @@ class TestConvexForm:
                                    cp.constraint_offsets, cons):
                     assert np.exp(a @ y + b).sum() == pytest.approx(
                         g.evaluate(x), rel=1e-12)
-
-    def test_equalities_become_affine_rows(self):
-        obj = Posynomial.constant(REG2, 1.0)
-        h = Monomial.from_powers(REG2, 2.0, {"x1": 1.0, "x2": 1.0})
-        cp = to_convex_form(obj, equalities=[h])
-        assert cp.equality_exponents.shape == (1, 2)
-        assert cp.equality_offsets[0] == pytest.approx(np.log(2.0))
