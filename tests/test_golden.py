@@ -11,11 +11,15 @@ must match exactly, proposed rates to 1e-9 bits and powers to a relative
 1e-6.  The per-pass GP solver traces must match exactly in their outer
 iteration, barrier weight and gap, and to 1e-9 in the log objective; the
 phase-1 start's best log-slack to 1e-9 and its start vector to a relative
-1e-6.
+1e-6.  The expanded numerator and denominator products must match bit for
+bit (term count and sha256 of the coefficient and exponent bytes); the
+J_D = 4 allocations match in their per-pass rates to 1e-9 bits and their
+final powers to a relative 1e-6.
 """
 
 import csv
 import dataclasses
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -25,6 +29,7 @@ import pytest
 
 from scma_d2d.allocation import (
     InfeasibleScenarioError,
+    allocate,
     build_p2,
     feasible_start,
     random_baseline,
@@ -43,6 +48,7 @@ from scma_d2d.experiments import (
     run_sweep,
 )
 from scma_d2d.factor_graph import build_factor_graph
+from scma_d2d.posynomial import product
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -64,6 +70,10 @@ CSV_FILES = ("compare_jd2.csv", "sweep_cell_jd1.csv", "sweep_cell_jd1_summary.cs
              "convergence_jd1.csv", "convergence_jd2.csv", "solver_trace_seed0.csv")
 DRAWS_FILE = "baseline_draws_jd2.json"
 START_FILE = "feasible_start_jd4.json"
+PRODUCTS_FILE = "products_seed0.json"
+ALLOCATE_FILE = "allocate_jd4.json"
+# seed 2 at J_D = 4 is certified infeasible (see START_FILE)
+ALLOCATE_SEEDS = (0, 1, 3)
 
 
 def record(out_dir):
@@ -97,6 +107,19 @@ def record(out_dir):
 
     _record_solver_traces(out_dir / "solver_trace_seed0.csv")
     _record_feasible_starts(out_dir / START_FILE)
+    _record_products(out_dir / PRODUCTS_FILE)
+    _record_allocations(out_dir / ALLOCATE_FILE)
+
+
+def _scenario(jd, seed):
+    """(cfg, channels, graph, occupancy) of one default-system draw, in
+    the argument order of build_p2 and allocate."""
+    cfg = ScenarioConfig(J_D=jd, seed=seed)
+    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
+    streams = rng_streams(seed)
+    ch = sample_channels(cfg, sample_geometry(cfg, streams.geometry),
+                         streams.fading)
+    return cfg, ch, graph, default_occupancy(cfg.J_D)
 
 
 def _record_solver_traces(path):
@@ -137,6 +160,36 @@ def _record_feasible_starts(path):
             continue
         starts[str(seed)] = {"feasible": True, "x": [float(v) for v in x]}
     Path(path).write_text(json.dumps(starts, indent=1) + "\n")
+
+
+def _record_products(path):
+    """Term count and sha256 of the coefficient and exponent bytes of the
+    expanded numerator and denominator products at seed 0, J_D = 1..4."""
+    digests = {}
+    for jd in (1, 2, 3, 4):
+        p2 = build_p2(*_scenario(jd, 0))
+        digests[str(jd)] = {
+            side: {"terms": len(p),
+                   "coefficients_sha256":
+                       hashlib.sha256(p.coefficients.tobytes()).hexdigest(),
+                   "exponents_sha256":
+                       hashlib.sha256(p.exponents.tobytes()).hexdigest()}
+            for side, p in (("numerator", product(p2.numerator_factors)),
+                            ("denominator", product(p2.denominator_factors)))}
+    Path(path).write_text(json.dumps(digests, indent=1) + "\n")
+
+
+def _record_allocations(path):
+    """allocate at J_D = 4: the per-pass rates and the final powers."""
+    runs = {}
+    for seed in ALLOCATE_SEEDS:
+        trace = allocate(*_scenario(4, seed))
+        final = trace.final.powers
+        runs[str(seed)] = {"converged": trace.converged,
+                           "rates": [float(r) for r in trace.rates()],
+                           "cellular_w": [float(v) for v in final.cellular.ravel()],
+                           "d2d_w": [float(v) for v in final.d2d]}
+    Path(path).write_text(json.dumps(runs, indent=1) + "\n")
 
 
 def _rows(path):
@@ -204,6 +257,27 @@ def test_feasible_starts_match_golden(fresh):
                                        atol=0, err_msg=f"seed {seed}")
         else:
             assert abs(g["max_slack"] - w["max_slack"]) <= SLACK_TOL, f"seed {seed}"
+
+
+def test_products_match_golden(fresh):
+    want = json.loads((FIXTURES / PRODUCTS_FILE).read_text())
+    got = json.loads((fresh / PRODUCTS_FILE).read_text())
+    assert got == want
+
+
+def test_allocations_match_golden(fresh):
+    want = json.loads((FIXTURES / ALLOCATE_FILE).read_text())
+    got = json.loads((fresh / ALLOCATE_FILE).read_text())
+    assert list(got) == list(want)
+    for seed, w in want.items():
+        g = got[seed]
+        assert g["converged"] == w["converged"], f"seed {seed}"
+        assert len(g["rates"]) == len(w["rates"]), f"seed {seed}"
+        np.testing.assert_allclose(g["rates"], w["rates"], rtol=0,
+                                   atol=RATE_TOL_BITS, err_msg=f"seed {seed}")
+        for key in ("cellular_w", "d2d_w"):
+            np.testing.assert_allclose(g[key], w[key], rtol=POWER_REL_TOL,
+                                       atol=0, err_msg=f"seed {seed} {key}")
 
 
 if __name__ == "__main__":
