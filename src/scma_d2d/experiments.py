@@ -66,6 +66,9 @@ class ExperimentSpec:
             raise ValueError("num_seeds must be at least 1")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
+        parent = Path(self.output_path).parent
+        if not parent.is_dir():
+            raise ValueError(f"output directory {str(parent)!r} does not exist")
         self.scenario.validate()
         return self
 

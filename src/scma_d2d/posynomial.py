@@ -186,14 +186,21 @@ def _merge_terms(coefficients, exponents):
     """Sum coefficients of terms whose exponent vectors coincide.
 
     Vectors are compared after rounding to MERGE_DECIMALS; adding 0.0
-    normalizes -0.0 so the byte-wise row comparison in np.unique is safe.
+    turns -0.0 into 0.0, so a stored row does not depend on which copy of
+    a zero came first.  The rows come back in lexicographic order, and the
+    stable sort keeps each group's terms in input order, so merged
+    coefficients are summed in input order.
     """
     keys = np.round(exponents, MERGE_DECIMALS) + 0.0
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, inverse, coefficients)
-    order = np.lexsort(uniq.T[::-1])
-    return merged[order], uniq[order]
+    order = np.lexsort(keys.T[::-1])
+    keys, coefficients = keys[order], coefficients[order]
+    start = np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+    group = np.cumsum(start) - 1
+    merged = np.zeros(group[-1] + 1)
+    # np.add.at adds one term at a time; np.add.reduceat would sum long
+    # groups pairwise and change the last bits
+    np.add.at(merged, group, coefficients)
+    return merged, keys[start]
 
 
 def multiply(p: Posynomial, q: Posynomial) -> Posynomial:

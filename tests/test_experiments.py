@@ -21,6 +21,19 @@ def spec_for(kind, tmp_path, **kw):
                           output_path=str(tmp_path / f"{kind}.csv"), **kw)
 
 
+class TestExperimentSpec:
+    def test_output_directory_must_exist(self, tmp_path):
+        """An output path in a missing directory is rejected up front, not
+        after every seed has run."""
+        spec = ExperimentSpec(kind="baseline_comparison",
+                              scenario=ScenarioConfig(J_D=1),
+                              output_path=str(tmp_path / "missing" / "cmp.csv"))
+        with pytest.raises(ValueError, match="output directory"):
+            spec.validate()
+        spec.output_path = str(tmp_path / "cmp.csv")
+        assert spec.validate() is spec
+
+
 class TestConvergenceExperiment:
     def test_single_pass_cap(self, tmp_path):
         """t_max = 1 records exactly one optimization step per seed; the
@@ -181,6 +194,12 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert "error: t_max" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_output_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cmp.csv"
+        assert main(["compare", "--seeds", "1", "--out", str(out)]) == 2
+        assert "error: output directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_sweep_list_exits_two(self, tmp_path):
         assert main(["sweep-cell", "--sweep-dbm", "abc",

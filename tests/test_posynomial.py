@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scma_d2d.posynomial import (
+    MERGE_DECIMALS,
     ConvexFormProblem,
     Monomial,
     Posynomial,
     RegistryMismatchError,
     condense,
     multiply,
+    _merge_terms,
     product,
     to_convex_form,
 )
@@ -106,6 +110,77 @@ class TestConstruction:
         assert line == "2.0 * x1^1 * x2^-0.5"
 
 
+def _merge_terms_reference(coefficients, exponents):
+    """The merge by np.unique(axis=0): an independent route to the same
+    unique rows, lexicographic order and input-order coefficient sums."""
+    keys = np.round(exponents, MERGE_DECIMALS) + 0.0
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    merged = np.zeros(len(uniq))
+    np.add.at(merged, inverse, coefficients)
+    order = np.lexsort(uniq.T[::-1])
+    return merged[order], uniq[order]
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()     # tells -0.0 from 0.0
+
+
+# integer and half-integer exponents (what the allocator's products hold),
+# a third, and zeros of both signs
+_EXPONENT_POOL = (-2.0, -1.0, -0.5, 0.0, -0.0, 1.0 / 3.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def merge_inputs(draw):
+    """(coefficients, exponents) with up to 500 rows over up to 8 columns,
+    most of them copies of a few base rows.  Copied entries may turn 0.0
+    into -0.0 or move by 1e-13 (still merges after rounding) or 1e-11
+    (does not).  Coefficients mix 1.0 with 1e-16, so that a sum over
+    three or more duplicates depends on the order of addition."""
+    n_cols = draw(st.integers(1, 8))
+    n_base = draw(st.integers(1, 20))
+    n_rows = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.choice(_EXPONENT_POOL, size=(n_base, n_cols))
+    free = rng.random(base.shape) < 0.2
+    base[free] = rng.uniform(-3.0, 3.0, size=free.sum())
+    rows = base[rng.integers(n_base, size=n_rows)]
+    kind = rng.integers(6, size=rows.shape)
+    rows = np.where((kind == 0) & (rows == 0), -0.0, rows)
+    rows = np.where(kind == 1, rows + rng.choice([-1e-13, 1e-13], size=rows.shape), rows)
+    rows = np.where(kind == 2, rows + 1e-11, rows)
+    coefficients = np.where(rng.random(n_rows) < 0.6,
+                            rng.choice([1.0, 1e-16], size=n_rows),
+                            rng.uniform(0.1, 10.0, size=n_rows))
+    return coefficients, rows
+
+
+class TestMergeTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(case=merge_inputs())
+    @example(case=(np.array([2.0]), np.array([[0.5, -0.0]])))
+    @example(case=(np.array([1.0, 1e-16, 1e-16]), np.full((3, 2), 0.5)))
+    @example(case=(np.array([1e-16, 1e-16, 1.0]), np.full((3, 2), 0.5)))
+    @example(case=(np.array([1.0, 1.0]), np.array([[-0.0], [0.0]])))
+    def test_property_matches_unique_reference(self, case):
+        """Same unique rows, order and coefficient sums as the np.unique
+        merge, bit for bit."""
+        coefficients, exponents = case
+        got_c, got_a = _merge_terms(coefficients, exponents)
+        want_c, want_a = _merge_terms_reference(coefficients, exponents)
+        _assert_same_bits(got_a, want_a)
+        _assert_same_bits(got_c, want_c)
+
+    def test_sums_duplicates_in_input_order(self):
+        """1.0 + 1e-16 + 1e-16 is 1.0 left to right but not right to left."""
+        c, a = _merge_terms(np.array([1.0, 1e-16, 1e-16]), np.ones((3, 1)))
+        assert a.shape == (1, 1) and c[0] == 1.0
+        c, _ = _merge_terms(np.array([1e-16, 1e-16, 1.0]), np.ones((3, 1)))
+        assert c[0] == (1e-16 + 1e-16) + 1.0 > 1.0
+
+
 class TestMultiply:
     def test_identity_monomial(self):
         rng = np.random.default_rng(3)
@@ -185,6 +260,29 @@ class TestCondense:
                 dg = (g.evaluate(x0 + ei) - g.evaluate(x0 - ei)) / (2 * h)
                 dt = (tilde.evaluate(x0 + ei) - tilde.evaluate(x0 - ei)) / (2 * h)
                 assert dt == pytest.approx(dg, rel=1e-4)
+
+
+_FACTOR = st.lists(
+    st.tuples(st.floats(0.1, 10.0),
+              st.tuples(*[st.sampled_from((-1.0, -0.5, 0.0, 1.0, 2.0))] * 3)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors=st.lists(_FACTOR, min_size=1, max_size=4),
+       x0=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3))
+def test_property_condensed_product_is_product_of_condensations(factors, x0):
+    """Condensing the expanded (merged) product at x0 gives the product of
+    the per-factor condensations: both are the monomial matching the
+    product's value and log-gradient at x0."""
+    reg = ("a", "b", "c")
+    posys = [Posynomial(reg, [c for c, _ in f], [a for _, a in f]) for f in factors]
+    whole = condense(product(posys), x0)
+    parts = condense(posys[0], x0)
+    for p in posys[1:]:
+        parts = parts * condense(p, x0)
+    assert whole.coefficient == pytest.approx(parts.coefficient, rel=1e-10)
+    np.testing.assert_allclose(whole.exponents, parts.exponents, rtol=0, atol=1e-12)
 
 
 class TestConvexForm:
