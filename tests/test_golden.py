@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_scenario
 
 from scma_d2d.allocation import (
     InfeasibleScenarioError,
@@ -111,17 +112,6 @@ def record(out_dir):
     _record_allocations(out_dir / ALLOCATE_FILE)
 
 
-def _scenario(jd, seed):
-    """(cfg, channels, graph, occupancy) of one default-system draw, in
-    the argument order of build_p2 and allocate."""
-    cfg = ScenarioConfig(J_D=jd, seed=seed)
-    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
-    streams = rng_streams(seed)
-    ch = sample_channels(cfg, sample_geometry(cfg, streams.geometry),
-                         streams.fading)
-    return cfg, ch, graph, default_occupancy(cfg.J_D)
-
-
 def _record_solver_traces(path):
     """Every pass's GP solver trace of the seed-0 convergence run at
     J_D = 1 and 2, stacked into one CSV."""
@@ -167,7 +157,8 @@ def _record_products(path):
     expanded numerator and denominator products at seed 0, J_D = 1..4."""
     digests = {}
     for jd in (1, 2, 3, 4):
-        p2 = build_p2(*_scenario(jd, 0))
+        cfg, graph, ch, occupancy = make_scenario(seed=0, jd=jd)
+        p2 = build_p2(cfg, ch, graph, occupancy)
         digests[str(jd)] = {
             side: {"terms": len(p),
                    "coefficients_sha256":
@@ -183,7 +174,8 @@ def _record_allocations(path):
     """allocate at J_D = 4: the per-pass rates and the final powers."""
     runs = {}
     for seed in ALLOCATE_SEEDS:
-        trace = allocate(*_scenario(4, seed))
+        cfg, graph, ch, occupancy = make_scenario(seed=seed, jd=4)
+        trace = allocate(cfg, ch, graph, occupancy)
         final = trace.final.powers
         runs[str(seed)] = {"converged": trace.converged,
                            "rates": [float(r) for r in trace.rates()],

@@ -173,13 +173,6 @@ class TestMergeTerms:
         _assert_same_bits(got_a, want_a)
         _assert_same_bits(got_c, want_c)
 
-    def test_sums_duplicates_in_input_order(self):
-        """1.0 + 1e-16 + 1e-16 is 1.0 left to right but not right to left."""
-        c, a = _merge_terms(np.array([1.0, 1e-16, 1e-16]), np.ones((3, 1)))
-        assert a.shape == (1, 1) and c[0] == 1.0
-        c, _ = _merge_terms(np.array([1e-16, 1e-16, 1.0]), np.ones((3, 1)))
-        assert c[0] == (1e-16 + 1e-16) + 1.0 > 1.0
-
 
 class TestMultiply:
     def test_identity_monomial(self):
