@@ -14,7 +14,9 @@ phase-1 start's best log-slack to 1e-9 and its start vector to a relative
 1e-6.  The expanded numerator and denominator products must match bit for
 bit (term count and sha256 of the coefficient and exponent bytes); the
 J_D = 4 allocations match in their per-pass rates to 1e-9 bits and their
-final powers to a relative 1e-6.
+final powers to a relative 1e-6.  The Newton step count of every GP solve
+inside `allocate` at J_D = 1, 2 and 4 must match exactly, so a change to
+the Newton kernel can show that it moved only the cost of a step.
 """
 
 import csv
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 from conftest import make_scenario
 
+from scma_d2d import allocation
 from scma_d2d.allocation import (
     InfeasibleScenarioError,
     allocate,
@@ -75,6 +78,7 @@ PRODUCTS_FILE = "products_seed0.json"
 ALLOCATE_FILE = "allocate_jd4.json"
 # seed 2 at J_D = 4 is certified infeasible (see START_FILE)
 ALLOCATE_SEEDS = (0, 1, 3)
+NEWTON_FILE = "newton_steps.json"
 
 
 def record(out_dir):
@@ -110,6 +114,7 @@ def record(out_dir):
     _record_feasible_starts(out_dir / START_FILE)
     _record_products(out_dir / PRODUCTS_FILE)
     _record_allocations(out_dir / ALLOCATE_FILE)
+    _record_newton_steps(out_dir / NEWTON_FILE)
 
 
 def _record_solver_traces(path):
@@ -182,6 +187,34 @@ def _record_allocations(path):
                            "cellular_w": [float(v) for v in final.cellular.ravel()],
                            "d2d_w": [float(v) for v in final.d2d]}
     Path(path).write_text(json.dumps(runs, indent=1) + "\n")
+
+
+def _record_newton_steps(path):
+    """newton_steps_used of every GP solve inside allocate, in call
+    order, for seeds 0-9 at J_D = 1, 2 and 4; null for a draw certified
+    infeasible before any solve."""
+    original = allocation.solve
+    runs = {}
+    for jd in (1, 2, 4):
+        for seed in range(10):
+            steps = []
+
+            def counting(*args, **kwargs):
+                result = original(*args, **kwargs)
+                steps.append(result.newton_steps_used)
+                return result
+
+            cfg, graph, ch, occupancy = make_scenario(seed=seed, jd=jd)
+            allocation.solve = counting
+            try:
+                allocate(cfg, ch, graph, occupancy)
+            except InfeasibleScenarioError:
+                steps = None
+            finally:
+                allocation.solve = original
+            runs[f"jd{jd}_seed{seed}"] = steps
+    lines = [f" {json.dumps(key)}: {json.dumps(steps)}" for key, steps in runs.items()]
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def _rows(path):
@@ -270,6 +303,12 @@ def test_allocations_match_golden(fresh):
         for key in ("cellular_w", "d2d_w"):
             np.testing.assert_allclose(g[key], w[key], rtol=POWER_REL_TOL,
                                        atol=0, err_msg=f"seed {seed} {key}")
+
+
+def test_newton_steps_match_golden(fresh):
+    want = json.loads((FIXTURES / NEWTON_FILE).read_text())
+    got = json.loads((fresh / NEWTON_FILE).read_text())
+    assert got == want
 
 
 if __name__ == "__main__":
