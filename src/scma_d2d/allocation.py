@@ -241,8 +241,7 @@ def feasible_start(cfg, graph, p2: P2Problem) -> np.ndarray:
     cons = to_convex_form(Posynomial.constant(p2.registry, 1.0),
                           constraints=p2.constraints)
     x0 = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
-    packed = PackedConstraints(cons.constraint_exponents, cons.constraint_offsets,
-                               p2.n_variables)
+    packed = PackedConstraints(cons.constraint_exponents, cons.constraint_offsets)
     if packed.values(np.log(x0)).max() < 0:
         return x0
     feas = find_feasible(cons)
@@ -303,24 +302,36 @@ class BaselineDraw:
     draws_used: int
 
 
-def qos_violation(cfg: ScenarioConfig, ch: ChannelRealization,
-                  graph: FactorGraph, occupancy, alloc: PowerAllocation) -> float:
-    """Largest floor/SINR ratio over every cellular user-tone on the factor
-    graph's support and every D2D pair; inf when some SINR is 0.  A value
-    <= 1 means every QoS floor holds.
+def qos_violations(cfg: ScenarioConfig, ch: ChannelRealization,
+                   graph: FactorGraph, occupancy, cellular, d2d) -> np.ndarray:
+    """Largest floor/SINR ratio per allocation, over every cellular
+    user-tone on the factor graph's support and every D2D pair; inf when
+    some SINR is 0.  A value <= 1 means every QoS floor holds.
 
+    cellular is (R, J, K) and d2d is (R, J_D): R allocations in rows.
     Vectorized form of capacity.cellular_sinr and capacity.d2d_sinr.
     """
-    noise = equivalent_noise(ch, alloc, occupancy).per_subcarrier
-    cell = (np.abs(ch.cell_to_bs) ** 2 * alloc.cellular / noise)[graph.indicator.T != 0]
+    k_count = ch.cell_to_bs.shape[1]
+    check_occupancy(occupancy, k_count, len(ch.d2d_to_bs))
+    noise = np.full((len(d2d), k_count), ch.noise_power_w)
+    for k, l in occupancy.items():
+        noise[:, k] += np.abs(ch.d2d_to_bs[l]) ** 2 * d2d[:, l]
+    cell = (np.abs(ch.cell_to_bs) ** 2 * cellular / noise[:, None, :])[:, graph.indicator.T != 0]
     tones = [tone_of_pair(occupancy, l) for l in range(cfg.J_D)]
-    interference = (np.abs(ch.cell_to_d2d) ** 2 * alloc.cellular[:, tones]).sum(axis=0)
-    pair = np.abs(ch.d2d_pair) ** 2 * alloc.d2d / (ch.noise_power_w + interference)
-    sinr = np.concatenate([cell, pair])
+    interference = (np.abs(ch.cell_to_d2d) ** 2 * cellular[:, :, tones]).sum(axis=1)
+    pair = np.abs(ch.d2d_pair) ** 2 * d2d / (ch.noise_power_w + interference)
+    sinr = np.concatenate([cell, pair], axis=1)
     floors = np.repeat([cfg.cellular_sinr_floor, cfg.d2d_sinr_floor],
-                       [cell.size, pair.size])
+                       [cell.shape[1], pair.shape[1]])
     ratio = np.divide(floors, sinr, out=np.full(sinr.shape, np.inf), where=sinr > 0)
-    return float(ratio.max(initial=0.0))
+    return ratio.max(axis=1, initial=0.0)
+
+
+def qos_violation(cfg: ScenarioConfig, ch: ChannelRealization,
+                  graph: FactorGraph, occupancy, alloc: PowerAllocation) -> float:
+    """qos_violations for the one allocation alloc."""
+    return float(qos_violations(cfg, ch, graph, occupancy,
+                                alloc.cellular[None], alloc.d2d[None])[0])
 
 
 def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
@@ -329,20 +340,29 @@ def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
     """Uniform powers on (0, cap], resampled until the QoS floors hold.
 
     When max_resample draws all violate some floor, the least-violating
-    draw is returned with feasible=False.
+    draw is returned with feasible=False.  Each draw takes J*K uniforms
+    for the cellular powers (row-major), then J_D for the D2D powers, and
+    rng advances by exactly the draws used.
     """
+    if max_resample < 1:
+        raise ValueError(f"max_resample must be at least 1, got {max_resample}")
     cap_cell = cfg.cellular_power_cap_w / graph.d_f
     cap_d2d = cfg.d2d_power_cap_w
-    support = graph.indicator.T
-    best = None
-    best_violation = np.inf
-    for i in range(max_resample):
-        cell = (1.0 - rng.uniform(size=(cfg.J, cfg.K))) * cap_cell * support
-        d2d = (1.0 - rng.uniform(size=cfg.J_D)) * cap_d2d
-        alloc = PowerAllocation(cellular=cell, d2d=d2d)
-        violation = qos_violation(cfg, ch, graph, occupancy, alloc)
-        if violation <= 1.0:
-            return BaselineDraw(alloc, True, i + 1)
-        if best is None or violation < best_violation:
-            best, best_violation = alloc, violation
-    return BaselineDraw(best, False, max_resample)
+    n_cell = cfg.J * cfg.K
+    # all max_resample draws as rows of one block: the same numbers as
+    # drawing them one after another
+    saved = rng.bit_generator.state
+    block = rng.uniform(size=(max_resample, n_cell + cfg.J_D))
+    cell = (1.0 - block[:, :n_cell].reshape(-1, cfg.J, cfg.K)) * cap_cell * graph.indicator.T
+    d2d = (1.0 - block[:, n_cell:]) * cap_d2d
+    violation = qos_violations(cfg, ch, graph, occupancy, cell, d2d)
+    met = np.flatnonzero(violation <= 1.0)
+    feasible = met.size > 0
+    row = int(met[0]) if feasible else int(np.argmin(violation))
+    used = row + 1 if feasible else max_resample
+    if used < max_resample:
+        # hand the caller's generator back as if only `used` draws were made
+        rng.bit_generator.state = saved
+        rng.uniform(size=(used, n_cell + cfg.J_D))
+    return BaselineDraw(PowerAllocation(cellular=cell[row], d2d=d2d[row]),
+                        feasible, used)

@@ -76,92 +76,106 @@ def objective_gradient_hessian(problem: ConvexFormProblem, y):
 
 
 class PackedConstraints:
-    """All inequality LSEs stacked for vectorized evaluation."""
+    """Several LSEs stacked for vectorized evaluation: block s holds rows
+    starts[s] up to the next start.  At least one block is required."""
 
-    def __init__(self, exponent_blocks, offset_blocks, n):
+    def __init__(self, exponent_blocks, offset_blocks):
         self.count = len(exponent_blocks)
-        if self.count:
-            self.A = np.vstack(exponent_blocks)
-            self.b = np.concatenate(offset_blocks)
-            sizes = np.array([len(b) for b in offset_blocks])
-            self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            self.seg = np.repeat(np.arange(self.count), sizes)
-        else:
-            self.A = np.zeros((0, n))
-            self.b = np.zeros(0)
-            self.starts = np.zeros(0, dtype=int)
-            self.seg = np.zeros(0, dtype=int)
+        self.A = np.vstack(exponent_blocks)
+        self.b = np.concatenate(offset_blocks)
+        sizes = np.array([len(b) for b in offset_blocks])
+        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        # the first block's row count, and the block of each later row
+        self.head = int(sizes[0])
+        self.tail_seg = np.repeat(np.arange(1, self.count), sizes[1:])
+
+    def shifted_exp(self, y):
+        """(lse value per block, exp(z - block max) per row, per-block sums
+        of those exps) at y, where z = A y + b.
+
+        The first block is shifted by its scalar max, so that a large first
+        block (the barrier's objective) costs no per-row gather."""
+        z = self.A @ y + self.b
+        mx = np.maximum.reduceat(z, self.starts)
+        z[:self.head] -= mx[0]
+        z[self.head:] -= mx[self.tail_seg]
+        e = np.exp(z, out=z)
+        sums = np.add.reduceat(e, self.starts)
+        return mx + np.log(sums), e, sums
 
     def values(self, y):
-        if not self.count:
-            return np.zeros(0)
-        z = self.A @ y + self.b
-        mx = np.maximum.reduceat(z, self.starts)
-        sums = np.add.reduceat(np.exp(z - mx[self.seg]), self.starts)
-        return mx + np.log(sums)
-
-    def values_and_weights(self, y):
-        if not self.count:
-            return np.zeros(0), np.zeros(0)
-        z = self.A @ y + self.b
-        mx = np.maximum.reduceat(z, self.starts)
-        e = np.exp(z - mx[self.seg])
-        sums = np.add.reduceat(e, self.starts)
-        return mx + np.log(sums), e / sums[self.seg]
+        return self.shifted_exp(y)[0]
 
 
 class _Barrier:
-    """Centering objective t*f0(y) - sum_s log(-f_s(y))."""
+    """Centering objective t*f0(y) - sum_s log(-f_s(y)).
 
-    def __init__(self, obj_exponents, obj_offsets, packed):
-        self.a0 = obj_exponents
-        self.b0 = obj_offsets
-        self.packed = packed
+    The objective's rows are packed in front of the constraints' as block
+    0, so one matmul, one exp and one reduceat serve f0 and every f_s.
+    With scale = [t, u] and u = -1/f_s, the gradient is G^T scale and the
+    Hessian is A^T diag(w scale[block]) A + G^T diag(d) G with
+    d = [-t, u^2 - u], where w are the per-block softmax weights and row s
+    of G is block s's LSE gradient.
+    """
+
+    def __init__(self, obj_exponents, obj_offsets, con_exponents, con_offsets):
+        self.packed = PackedConstraints([obj_exponents, *con_exponents],
+                                        [obj_offsets, *con_offsets])
+        head = self.packed.head
+        self.a0 = self.packed.A[:head]
+        self.a_con = self.packed.A[head:]
+        self.con_starts = self.packed.starts[1:] - head
 
     def value(self, y, t):
-        """phi(y) or None when y is outside the domain (some f_s >= 0)."""
+        """(phi(y), f0(y)), or None when y is outside the domain (some
+        f_s >= 0)."""
         vals = self.packed.values(y)
-        if vals.size and vals.max() >= 0:
+        f = vals[1:]
+        if f.max(initial=-np.inf) >= 0:
             return None
-        z = self.a0 @ y + self.b0
-        m = z.max()
-        f0 = m + np.log(np.exp(z - m).sum())
-        return t * f0 - np.log(-vals).sum(), f0
+        return t * vals[0] - np.log(-f).sum(), vals[0]
 
     def bundle(self, y, t):
-        f0, g0, h0 = logsumexp_bundle(self.a0, self.b0, y)
-        vals, w = self.packed.values_and_weights(y)
-        if vals.size and vals.max() >= 0:
+        """(phi, gradient, Hessian, f0) at y."""
+        vals, e, sums = self.packed.shifted_exp(y)
+        f = vals[1:]
+        if f.max(initial=-np.inf) >= 0:
             raise FloatingPointError("barrier evaluated outside the domain")
-        u = -1.0 / vals if vals.size else vals
-        p = self.packed
-        if p.count:
-            quad = p.A.T @ (p.A * (w * u[p.seg])[:, None])
-            grads = np.add.reduceat(p.A * w[:, None], p.starts, axis=0)
-            grad = t * g0 + grads.T @ u
-            hess = t * h0 + quad + grads.T @ ((u * u - u)[:, None] * grads)
-            val = t * f0 - np.log(-vals).sum()
-        else:
-            grad = t * g0
-            hess = t * h0
-            val = t * f0
-        return val, grad, hess, f0
+        u = -1.0 / f
+        scale = np.concatenate(([t], u))
+        head = self.packed.head
+        # block 0's gradient is one gemv over its (possibly thousands of)
+        # rows; the small constraint blocks share one reduceat
+        grads = np.empty((len(vals), len(y)))
+        grads[0] = self.a0.T @ e[:head]
+        grads[1:] = np.add.reduceat(self.a_con * e[head:, None],
+                                    self.con_starts, axis=0)
+        grads /= sums[:, None]
+        coef = scale / sums
+        c = np.empty_like(e)
+        c[:head] = e[:head] * coef[0]
+        c[head:] = e[head:] * coef[self.packed.tail_seg]
+        d = np.concatenate(([-t], u * u - u))
+        hess = (self.packed.A.T * c) @ self.packed.A + (grads.T * d) @ grads
+        val = t * vals[0] - np.log(-f).sum()
+        return val, grads.T @ scale, hess, vals[0]
 
 
 def _regularized_newton_step(hess, grad):
-    """Solve hess d = -grad by Cholesky, adding 1e-12*trace(H) (escalating
-    tenfold) to the diagonal whenever factorization fails."""
-    n = len(grad)
+    """Solve hess d = -grad.  A Cholesky factorization checks positive
+    definiteness; while it fails, 1e-12*trace(H) (escalating tenfold) is
+    put on the diagonal of hess, in place."""
+    diagonal = hess.diagonal().copy()
     reg = 0.0
     base = 1e-12 * max(np.trace(hess), 1.0)
     for _ in range(60):
         try:
-            low = np.linalg.cholesky(hess + reg * np.eye(n))
+            np.linalg.cholesky(hess)
         except np.linalg.LinAlgError:
             reg = base if reg == 0.0 else reg * 10.0
+            hess.flat[::len(grad) + 1] = diagonal + reg
             continue
-        rhs = np.linalg.solve(low, -grad)
-        return np.linalg.solve(low.T, rhs)
+        return np.linalg.solve(hess, -grad)
     raise np.linalg.LinAlgError("Newton system could not be regularized")
 
 
@@ -173,18 +187,18 @@ def _center(barrier, y, t, callback=None):
     barrier value itself: at large t the barrier magnitude reaches ~t*|f0|
     and quadratic-model improvements smaller than eps times that are not
     representable, so demanding more would spin.  Returns (y, centered,
-    steps).
+    steps, f0) with f0 the objective at the returned y.
     """
     steps = 0
     eps = np.finfo(float).eps
     for _ in range(MAX_NEWTON):
-        val, grad, hess, _ = barrier.bundle(y, t)
+        val, grad, hess, f0 = barrier.bundle(y, t)
         delta = _regularized_newton_step(hess, grad)
         descent = float(grad @ delta)
         decrement = np.sqrt(max(-descent, 0.0))
         noise_floor = np.sqrt(32.0 * eps * abs(val))
         if decrement <= max(NEWTON_TOL, noise_floor):
-            return y, True, steps
+            return y, True, steps, f0
         alpha = 1.0
         accepted = None
         while alpha >= 1e-18:
@@ -196,12 +210,12 @@ def _center(barrier, y, t, callback=None):
             alpha *= LINE_SEARCH_BACKTRACK
         if accepted is None or got[0] >= val:
             # rounding floor: no representable progress possible
-            return y, True, steps
-        y = accepted
+            return y, True, steps, f0
+        y, f0 = accepted, got[1]
         steps += 1
         if callback is not None and callback(y):
-            return y, True, steps
-    return y, False, steps
+            return y, True, steps, f0
+    return y, False, steps, f0
 
 
 def _central_path(barrier, y, callback=None):
@@ -213,14 +227,13 @@ def _central_path(barrier, y, callback=None):
     per centering; status is MAX_ITERATIONS after a capped centering and
     OPTIMAL otherwise.
     """
-    m = barrier.packed.count
+    m = barrier.packed.count - 1
     t = INITIAL_T
     total_steps = 0
     rows = []
     while True:
-        y, centered, steps = _center(barrier, y, t, callback)
+        y, centered, steps, f0 = _center(barrier, y, t, callback)
         total_steps += steps
-        _, f0 = barrier.value(y, t)
         rows.append((len(rows), t, f0, m / t))
         if callback is not None and callback(y):
             return y, t, OPTIMAL, total_steps, rows
@@ -254,21 +267,19 @@ def solve(problem: ConvexFormProblem, y0=None, *,
             status = MAX_ITERATIONS if feas.status == MAX_ITERATIONS else INFEASIBLE
             return SolverResult(None, None, np.nan, status, 0, np.inf)
         y0 = feas.y
-    packed = PackedConstraints(problem.constraint_exponents,
-                               problem.constraint_offsets, problem.n_variables)
+    barrier = _Barrier(problem.objective_exponents, problem.objective_offsets,
+                       problem.constraint_exponents, problem.constraint_offsets)
     y = np.asarray(y0, dtype=float)
-    vals = packed.values(y)
-    if vals.size and vals.max() >= 0:
+    if barrier.value(y, INITIAL_T) is None:
         raise ValueError("y0 is not strictly feasible")
 
-    barrier = _Barrier(problem.objective_exponents, problem.objective_offsets, packed)
     y, t, status, steps, rows = _central_path(barrier, y)
     if trace_path is not None:
         _trace_write(trace_path, rows)
     f0 = rows[-1][2]
     return SolverResult(y=y, x=np.exp(y), objective_value=float(np.exp(f0)),
                         status=status, newton_steps_used=steps,
-                        certified_gap=packed.count / t)
+                        certified_gap=rows[-1][3])
 
 
 def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
@@ -280,19 +291,18 @@ def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
     infeasible along with the best achieved slack.
     """
     n = problem.n_variables
-    packed = PackedConstraints(problem.constraint_exponents,
-                               problem.constraint_offsets, n)
-    if packed.count == 0:
+    if not problem.constraint_exponents:
         return FeasibilityResult(True, np.zeros(n), -np.inf, OPTIMAL)
+    packed = PackedConstraints(problem.constraint_exponents,
+                               problem.constraint_offsets)
 
     # extended variable (y, tau); constraints lse_s(y) - tau <= 0 are again
     # LSEs with an exponent of -1 on tau
     ext_a = [np.hstack([a, -np.ones((len(a), 1))])
              for a in problem.constraint_exponents]
-    ext_packed = PackedConstraints(ext_a, problem.constraint_offsets, n + 1)
     obj_a = np.zeros((1, n + 1))
     obj_a[0, -1] = 1.0
-    barrier = _Barrier(obj_a, np.zeros(1), ext_packed)
+    barrier = _Barrier(obj_a, np.zeros(1), ext_a, problem.constraint_offsets)
 
     y = np.zeros(n)
     tau = float(packed.values(y).max()) + 1.0

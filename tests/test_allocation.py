@@ -19,6 +19,7 @@ from scma_d2d.allocation import (
     objective_sum_rate,
     pack_allocation,
     qos_violation,
+    qos_violations,
     random_baseline,
     sum_rate,
     unpack_allocation,
@@ -318,8 +319,111 @@ class TestQosViolation:
             warnings.simplefilter("error")
             assert qos_violation(cfg, ch, graph, occ, zero) == np.inf
 
+    def test_batched_rows_equal_single_calls(self):
+        """Each row of the batched check equals the one-allocation call bit
+        for bit, zero powers included."""
+        rng = np.random.default_rng(23)
+        seen = []
+        for seed, jd, floor_db in ((0, 1, 10.0), (1, 2, 0.0), (3, 4, 0.0)):
+            cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd,
+                                                cellular_sinr_floor_db=floor_db,
+                                                d2d_sinr_floor_db=floor_db)
+            allocs = [support_allocation(cfg, graph, rng) for _ in range(40)]
+            for alloc in allocs[::3]:
+                alloc.cellular[rng.uniform(size=alloc.cellular.shape) < 0.2] = 0.0
+                alloc.d2d[rng.uniform(size=jd) < 0.3] = 0.0
+            allocs.append(PowerAllocation(np.zeros((cfg.J, cfg.K)), np.zeros(jd)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = qos_violations(cfg, ch, graph, occ,
+                                     np.stack([a.cellular for a in allocs]),
+                                     np.stack([a.d2d for a in allocs]))
+                want = [qos_violation(cfg, ch, graph, occ, a) for a in allocs]
+            assert got.shape == (len(allocs),)
+            assert got.tolist() == want
+            seen.extend(want)
+        seen = np.array(seen)
+        assert np.isinf(seen).any() and (seen <= 1.0).any() and (seen > 1.0).any()
+
+
+def same_state(a, b):
+    """Bit-generator states equal, arrays (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def sequential_random_baseline(cfg, ch, graph, occupancy, rng, max_resample=1000):
+    """Reference for random_baseline: one draw at a time, each the (J, K)
+    cellular uniforms and then the (J_D,) D2D uniforms, stopping at the
+    first draw that meets every floor and else keeping the first
+    least-violating one."""
+    cap_cell = cfg.cellular_power_cap_w / graph.d_f
+    best, best_violation = None, np.inf
+    for i in range(max_resample):
+        cell = (1.0 - rng.uniform(size=(cfg.J, cfg.K))) * cap_cell * graph.indicator.T
+        d2d = (1.0 - rng.uniform(size=cfg.J_D)) * cfg.d2d_power_cap_w
+        alloc = PowerAllocation(cellular=cell, d2d=d2d)
+        violation = qos_violation(cfg, ch, graph, occupancy, alloc)
+        if violation <= 1.0:
+            return alloc, True, i + 1
+        if best is None or violation < best_violation:
+            best, best_violation = alloc, violation
+    return best, False, max_resample
+
 
 class TestRandomBaseline:
+    @staticmethod
+    def assert_matches_sequential(scenario, make_rng, max_resample=1000):
+        cfg, graph, ch, occ = scenario
+        rng, ref_rng = make_rng(), make_rng()
+        draw = random_baseline(cfg, ch, graph, occ, rng, max_resample=max_resample)
+        alloc, feasible, used = sequential_random_baseline(
+            cfg, ch, graph, occ, ref_rng, max_resample=max_resample)
+        assert np.array_equal(draw.allocation.cellular, alloc.cellular)
+        assert np.array_equal(draw.allocation.d2d, alloc.d2d)
+        assert (draw.feasible, draw.draws_used) == (feasible, used)
+        # the caller's generator ends where the one-at-a-time draws leave it
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        assert rng.uniform() == ref_rng.uniform()
+        return draw
+
+    def test_matches_sequential_draws(self):
+        """Feasible draws after one or many resamples, at J_D = 1, 2, 4."""
+        used = []
+        for seed, jd in itertools.product(range(6), (1, 2, 4)):
+            draw = self.assert_matches_sequential(
+                make_scenario(seed=seed, jd=jd),
+                lambda: np.random.default_rng(100 + seed))
+            if draw.feasible:
+                used.append(draw.draws_used)
+        assert used and min(used) < 5 and max(used) > 50
+
+    def test_matches_sequential_when_exhausted(self):
+        """Three draws that cannot meet a 60 dB D2D floor: the first
+        least-violating one is kept and all three are consumed."""
+        scenario = make_scenario(seed=0, jd=2, d2d_sinr_floor_db=60.0)
+        draw = self.assert_matches_sequential(
+            scenario, lambda: np.random.default_rng(9), max_resample=3)
+        assert not draw.feasible and draw.draws_used == 3
+
+    def test_matches_sequential_on_other_bit_generator(self):
+        """MT19937 makes each double from two 32-bit outputs; the block
+        draw and the hand-back of the generator hold for it too."""
+        for seed in (0, 1, 3):
+            self.assert_matches_sequential(
+                make_scenario(seed=seed, jd=2),
+                lambda: np.random.Generator(np.random.MT19937(7)))
+        self.assert_matches_sequential(
+            make_scenario(seed=0, jd=2, d2d_sinr_floor_db=60.0),
+            lambda: np.random.Generator(np.random.MT19937(7)), max_resample=3)
+
+    def test_max_resample_below_one_rejected(self):
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
+        with pytest.raises(ValueError, match="max_resample"):
+            random_baseline(cfg, ch, graph, occ, np.random.default_rng(0),
+                            max_resample=0)
+
     def test_deterministic(self):
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         a = random_baseline(cfg, ch, graph, occ, np.random.default_rng(5))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scma_d2d import gp
 from scma_d2d.gp import (
@@ -127,6 +129,88 @@ class TestDerivatives:
         p = lse_problem(("a", "b", "c"), A, b)
         _, _, hess = objective_gradient_hessian(p, rng.normal(size=3))
         assert np.linalg.eigvalsh(hess).min() >= -1e-12
+
+
+def barrier_case(seed, n, obj_rows, con_sizes):
+    """A barrier with random LSE blocks and a point y strictly inside
+    every constraint: block s's offsets are shifted so that
+    lse_s(y) = -margin_s with margins in [0.2, 3]."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n)
+    obj_a = rng.normal(size=(obj_rows, n))
+    obj_b = rng.normal(size=obj_rows)
+    cons = []
+    for size in con_sizes:
+        a = rng.normal(size=(size, n))
+        b = rng.normal(size=size)
+        lse = logsumexp_bundle(a, b, y)[0]
+        cons.append((a, b - lse - rng.uniform(0.2, 3.0)))
+    barrier = gp._Barrier(obj_a, obj_b, [a for a, _ in cons], [b for _, b in cons])
+    return barrier, y, (obj_a, obj_b), cons
+
+
+def barrier_oracle(obj, cons, y, t):
+    """phi, gradient and Hessian of t*f0 - sum log(-f_s), assembled from
+    logsumexp_bundle per block."""
+    f0, g0, h0 = logsumexp_bundle(*obj, y)
+    phi, grad, hess = t * f0, t * g0, t * h0
+    for a, b in cons:
+        f, g, h = logsumexp_bundle(a, b, y)
+        u = -1.0 / f
+        phi -= np.log(-f)
+        grad = grad + u * g
+        hess = hess + u * h + u * u * np.outer(g, g)
+    return phi, grad, hess
+
+
+class TestPackedBarrier:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           obj_rows=st.sampled_from([1, 2, 7, 4096]),
+           con_sizes=st.lists(st.integers(1, 5), max_size=8),
+           t=st.floats(0.5, 50.0))
+    @example(seed=1, n=3, obj_rows=4096, con_sizes=[], t=2.0)
+    @example(seed=2, n=4, obj_rows=1, con_sizes=[1, 1, 1], t=10.0)
+    @example(seed=3, n=5, obj_rows=4096, con_sizes=[1, 3, 1, 5], t=40.0)
+    def test_matches_oracle_and_finite_differences(self, seed, n, obj_rows,
+                                                    con_sizes, t):
+        """Value, gradient and Hessian of the packed barrier against the
+        per-block logsumexp_bundle oracle, and the gradient and Hessian
+        against central differences of the value and the gradient.  Cases
+        include no constraints, single-term blocks and a 4096-row
+        objective."""
+        barrier, y, obj, cons = barrier_case(seed, n, obj_rows, con_sizes)
+        phi, grad, hess, f0 = barrier.bundle(y, t)
+        want_phi, want_grad, want_hess = barrier_oracle(obj, cons, y, t)
+        scale = 1.0 + np.abs(want_grad).max() + np.abs(want_hess).max()
+        assert f0 == pytest.approx(objective_gradient_hessian(
+            lse_problem(tuple(f"v{i}" for i in range(n)), *obj), y)[0], rel=1e-12, abs=1e-12)
+        assert phi == pytest.approx(want_phi, rel=1e-12, abs=1e-12)
+        assert barrier.value(y, t) == pytest.approx((phi, f0), rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10 * scale)
+        np.testing.assert_allclose(hess, want_hess, rtol=1e-10, atol=1e-10 * scale)
+
+        h = 1e-5
+        fd_grad = np.empty(n)
+        fd_hess = np.empty((n, n))
+        for i in range(n):
+            step = np.zeros(n)
+            step[i] = h
+            fd_grad[i] = (barrier.value(y + step, t)[0]
+                          - barrier.value(y - step, t)[0]) / (2 * h)
+            fd_hess[:, i] = (barrier.bundle(y + step, t)[1]
+                             - barrier.bundle(y - step, t)[1]) / (2 * h)
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-5 * scale)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-5 * scale)
+
+    def test_outside_domain(self):
+        """A point where some f_s >= 0 has no value and no bundle."""
+        barrier, y, _, cons = barrier_case(3, 2, 3, [2, 1])
+        a, _ = cons[1]
+        far = y + 50.0 * a[0] / np.linalg.norm(a[0])
+        assert barrier.value(far, 1.0) is None
+        with pytest.raises(FloatingPointError):
+            barrier.bundle(far, 1.0)
 
 
 class TestOverflowSafety:
