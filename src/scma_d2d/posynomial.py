@@ -101,6 +101,8 @@ class Posynomial:
 
     def __init__(self, registry, coefficients, exponents):
         self.registry = tuple(registry)
+        if not self.registry:
+            raise ValueError("posynomial needs at least one variable in its registry")
         c = np.asarray(coefficients, dtype=float).reshape(-1)
         a = np.asarray(exponents, dtype=float).reshape(len(c), len(self.registry))
         if len(c) == 0:

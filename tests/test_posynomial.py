@@ -102,6 +102,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Posynomial(REG2, [1.0, -2.0], np.zeros((2, 2)))
 
+    def test_empty_registry_rejected(self):
+        """A posynomial over no variables is a clear ValueError, not an
+        error from deep inside the term merge."""
+        with pytest.raises(ValueError, match="at least one variable"):
+            Posynomial.constant((), 1.0)
+        with pytest.raises(ValueError, match="at least one variable"):
+            Posynomial((), [1.0, 2.0], np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="at least one variable"):
+            Monomial.from_powers((), 3.0).as_posynomial()
+
     def test_format_lines(self):
         p = Posynomial.from_monomials([
             Monomial.from_powers(REG2, 2.0, {"x1": 1.0, "x2": -0.5}),
