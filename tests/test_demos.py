@@ -17,8 +17,12 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    # demos that write files put them under the temporary directory
-    env["TMPDIR"] = str(tmp_path)
+    # demos that write files put them under the temporary directory and
+    # remove them again
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not any(tmpdir.iterdir()), sorted(p.name for p in tmpdir.iterdir())
