@@ -316,7 +316,8 @@ def qos_violations(cfg: ScenarioConfig, ch: ChannelRealization,
     noise = np.full((len(d2d), k_count), ch.noise_power_w)
     for k, l in occupancy.items():
         noise[:, k] += np.abs(ch.d2d_to_bs[l]) ** 2 * d2d[:, l]
-    cell = (np.abs(ch.cell_to_bs) ** 2 * cellular / noise[:, None, :])[:, graph.indicator.T != 0]
+    cell = np.abs(ch.cell_to_bs) ** 2 * cellular / noise[:, None, :]
+    cell = cell[:, graph.indicator.T != 0]
     tones = [tone_of_pair(occupancy, l) for l in range(cfg.J_D)]
     interference = (np.abs(ch.cell_to_d2d) ** 2 * cellular[:, :, tones]).sum(axis=1)
     pair = np.abs(ch.d2d_pair) ** 2 * d2d / (ch.noise_power_w + interference)
@@ -353,7 +354,8 @@ def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
     # drawing them one after another
     saved = rng.bit_generator.state
     block = rng.uniform(size=(max_resample, n_cell + cfg.J_D))
-    cell = (1.0 - block[:, :n_cell].reshape(-1, cfg.J, cfg.K)) * cap_cell * graph.indicator.T
+    cell = (1.0 - block[:, :n_cell].reshape(-1, cfg.J, cfg.K)) * cap_cell \
+        * graph.indicator.T
     d2d = (1.0 - block[:, n_cell:]) * cap_d2d
     violation = qos_violations(cfg, ch, graph, occupancy, cell, d2d)
     met = np.flatnonzero(violation <= 1.0)

@@ -183,8 +183,9 @@ class TestPackedBarrier:
         phi, grad, hess, f0 = barrier.bundle(y, t)
         want_phi, want_grad, want_hess = barrier_oracle(obj, cons, y, t)
         scale = 1.0 + np.abs(want_grad).max() + np.abs(want_hess).max()
-        assert f0 == pytest.approx(objective_gradient_hessian(
-            lse_problem(tuple(f"v{i}" for i in range(n)), *obj), y)[0], rel=1e-12, abs=1e-12)
+        registry = tuple(f"v{i}" for i in range(n))
+        want_f0 = objective_gradient_hessian(lse_problem(registry, *obj), y)[0]
+        assert f0 == pytest.approx(want_f0, rel=1e-12, abs=1e-12)
         assert phi == pytest.approx(want_phi, rel=1e-12, abs=1e-12)
         assert barrier.value(y, t) == pytest.approx((phi, f0), rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10 * scale)
