@@ -30,7 +30,7 @@ from .capacity import (
 )
 from .channel import ChannelRealization, ScenarioConfig
 from .factor_graph import FactorGraph, incidence_sets
-from .gp import OPTIMAL, PackedConstraints, find_feasible, solve
+from .gp import DUALITY_GAP_TOL, OPTIMAL, PackedConstraints, find_feasible, solve
 from .posynomial import (
     Monomial,
     Posynomial,
@@ -42,6 +42,9 @@ from .posynomial import (
 # the condense-and-solve loop stops once a pass changes the sum rate by
 # at most this fraction of max(1, previous rate)
 REL_TOL = 1e-6
+# a pass may lower the sum rate by at most this many bits (rounding and
+# the solver's certified gap); a larger fall is a solver fault
+ASCENT_TOL_BITS = 1e-8
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -54,7 +57,13 @@ class InfeasibleScenarioError(RuntimeError):
 
 
 class AllocationSolverError(RuntimeError):
-    """The inner GP solve did not reach optimal status."""
+    """A pass's GP solve did not reach optimal status, certified a gap
+    above gp.DUALITY_GAP_TOL, or lowered the sum rate by more than
+    ASCENT_TOL_BITS.  result is that pass's SolverResult."""
+
+    def __init__(self, message, result):
+        super().__init__(message)
+        self.result = result
 
 
 @dataclass
@@ -258,10 +267,13 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     Each pass condenses the expanded denominator at the current powers,
     solves the resulting GP under the original constraints, and moves to
     its optimum; stops after t_max passes (at least 1) or once the
-    relative sum-rate change drops to REL_TOL.  The solver certifies each
-    pass to its gap of gp.DUALITY_GAP_TOL = 1e-9, well inside the
-    1e-8-bit monotonicity budget.  solver_trace_pattern, when given, is
-    formatted with the pass index to name a per-pass solver trace CSV.
+    relative sum-rate change drops to REL_TOL.  Every pass after the
+    first warm-starts its solve from the previous pass's central path.
+    The solver certifies each pass to its gap of gp.DUALITY_GAP_TOL =
+    1e-9, well inside the ASCENT_TOL_BITS = 1e-8 monotonicity budget; a
+    pass that breaks either raises AllocationSolverError.
+    solver_trace_pattern, when given, is formatted with the pass index to
+    name a per-pass solver trace CSV.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
@@ -276,17 +288,25 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     trace = IterationTrace(initial_powers=start, initial_sum_rate_bits=prev_rate,
                            points=[], converged=False)
     y = np.log(x)
+    path = None
     for it in range(t_max):
         trace_path = (None if solver_trace_pattern is None
                       else solver_trace_pattern.format(it))
         surrogate = numerator.divide_by_monomial(condense(denominator, x))
         res = solve(to_convex_form(surrogate, constraints=p2.constraints), y0=y,
-                    trace_path=trace_path)
+                    trace_path=trace_path, warm_path=path)
         if res.status != OPTIMAL:
-            raise AllocationSolverError(f"GP solve returned {res.status}")
-        x, y = res.x, res.y
+            raise AllocationSolverError(f"pass {it + 1}: GP solve returned "
+                                        f"{res.status}", res)
+        if not res.certified_gap <= DUALITY_GAP_TOL:
+            raise AllocationSolverError(f"pass {it + 1}: GP solve certified a gap "
+                                        f"of only {res.certified_gap:.3e}", res)
+        x, y, path = res.x, res.y, res.path
         alloc = unpack_allocation(p2, x, shape)
         rate = sum_rate(ch, graph, occupancy, alloc)
+        if rate < prev_rate - ASCENT_TOL_BITS:
+            raise AllocationSolverError(f"pass {it + 1} lowered the sum rate by "
+                                        f"{prev_rate - rate:.3e} bits", res)
         trace.points.append(IterationPoint(alloc, rate, res.status))
         if abs(rate - prev_rate) <= REL_TOL * max(1.0, abs(prev_rate)):
             trace.converged = True

@@ -12,7 +12,7 @@ hundred in magnitude are handled without overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,9 @@ NEWTON_TOL = 1e-9             # tolerance on the Newton decrement
 MAX_NEWTON = 100              # Newton iteration cap per centering
 LINE_SEARCH_BACKTRACK = 0.5   # step shrink factor, in (0, 1)
 LINE_SEARCH_SLOPE = 0.1       # Armijo constant, in (0, 0.5)
+# a warm start resumes only from a recorded central point whose squared
+# Newton decrement under the new barrier is at most this
+WARM_DECREMENT_SQ = 1.0
 
 # certified gap (log-objective units) at exit; 1e-9 keeps each allocator
 # pass's certified suboptimality well inside its 1e-8-bit ascent budget
@@ -47,6 +50,9 @@ class SolverResult:
     status: str
     newton_steps_used: int
     certified_gap: float
+    # (t, y) at the end of each centering, in increasing t; a later solve
+    # with the same constraints can warm-start from it (see solve)
+    path: list = field(default_factory=list)
 
 
 @dataclass
@@ -126,22 +132,36 @@ class _Barrier:
         self.a_con = self.packed.A[head:]
         self.con_starts = self.packed.starts[1:] - head
 
-    def value(self, y, t):
-        """(phi(y), f0(y)), or None when y is outside the domain (some
-        f_s >= 0)."""
-        vals = self.packed.values(y)
-        f = vals[1:]
-        if f.max(initial=-np.inf) >= 0:
+    def evaluate(self, y):
+        """packed.shifted_exp(y), or None when y is outside the domain
+        (some f_s >= 0).  The arrays do not depend on t, so one
+        evaluation serves the line search and every later bundle at y."""
+        point = self.packed.shifted_exp(y)
+        if point[0][1:].max(initial=-np.inf) >= 0:
             return None
-        return t * vals[0] - np.log(-f).sum(), vals[0]
+        return point
 
-    def bundle(self, y, t):
-        """(phi, gradient, Hessian, f0) at y."""
-        vals, e, sums = self.packed.shifted_exp(y)
-        f = vals[1:]
-        if f.max(initial=-np.inf) >= 0:
-            raise FloatingPointError("barrier evaluated outside the domain")
-        u = -1.0 / f
+    @staticmethod
+    def phi(vals, t):
+        """The barrier value from the per-block LSE values [f0, f_1, ...]."""
+        return t * vals[0] - np.log(-vals[1:]).sum()
+
+    def value(self, y, t):
+        """(phi(y), f0(y)), or None when y is outside the domain."""
+        point = self.evaluate(y)
+        if point is None:
+            return None
+        return self.phi(point[0], t), point[0][0]
+
+    def bundle(self, y, t, point=None):
+        """(phi, gradient, Hessian, f0) at y; point, when given, is
+        evaluate(y) and is used instead of evaluating again."""
+        if point is None:
+            point = self.evaluate(y)
+            if point is None:
+                raise FloatingPointError("barrier evaluated outside the domain")
+        vals, e, sums = point
+        u = -1.0 / vals[1:]
         scale = np.concatenate(([t], u))
         head = self.packed.head
         # block 0's gradient is one gemv over its (possibly thousands of)
@@ -157,8 +177,7 @@ class _Barrier:
         c[head:] = e[head:] * coef[self.packed.tail_seg]
         d = np.concatenate(([-t], u * u - u))
         hess = (self.packed.A.T * c) @ self.packed.A + (grads.T * d) @ grads
-        val = t * vals[0] - np.log(-f).sum()
-        return val, grads.T @ scale, hess, vals[0]
+        return self.phi(vals, t), grads.T @ scale, hess, vals[0]
 
 
 def _regularized_newton_step(hess, grad):
@@ -179,80 +198,105 @@ def _regularized_newton_step(hess, grad):
     raise np.linalg.LinAlgError("Newton system could not be regularized")
 
 
-def _center(barrier, y, t, callback=None):
-    """Damped Newton to the analytic center for barrier weight t.
+def _newton_direction(barrier, y, t, point):
+    """(phi, Newton step, grad . step) at y; -grad . step is the squared
+    Newton decrement."""
+    val, grad, hess, _ = barrier.bundle(y, t, point)
+    delta = _regularized_newton_step(hess, grad)
+    return val, delta, float(grad @ delta)
+
+
+def _center(barrier, y, point, t, callback=None):
+    """Damped Newton to the analytic center for barrier weight t, from y
+    with point = barrier.evaluate(y).
 
     Stops when the Newton decrement (the H^-1-weighted gradient norm)
     falls below NEWTON_TOL or below the float64 rounding floor of the
     barrier value itself: at large t the barrier magnitude reaches ~t*|f0|
     and quadratic-model improvements smaller than eps times that are not
-    representable, so demanding more would spin.  Returns (y, centered,
-    steps, f0) with f0 the objective at the returned y.
+    representable, so demanding more would spin.  Returns (y, point,
+    centered, steps) at the point reached.
     """
     steps = 0
     eps = np.finfo(float).eps
     for _ in range(MAX_NEWTON):
-        val, grad, hess, f0 = barrier.bundle(y, t)
-        delta = _regularized_newton_step(hess, grad)
-        descent = float(grad @ delta)
+        val, delta, descent = _newton_direction(barrier, y, t, point)
         decrement = np.sqrt(max(-descent, 0.0))
         noise_floor = np.sqrt(32.0 * eps * abs(val))
         if decrement <= max(NEWTON_TOL, noise_floor):
-            return y, True, steps, f0
+            return y, point, True, steps
         alpha = 1.0
         accepted = None
         while alpha >= 1e-18:
             cand = y + alpha * delta
-            got = barrier.value(cand, t)
-            if got is not None and got[0] <= val + LINE_SEARCH_SLOPE * alpha * descent:
-                accepted = cand
-                break
+            cand_point = barrier.evaluate(cand)
+            if cand_point is not None:
+                cand_val = barrier.phi(cand_point[0], t)
+                if cand_val <= val + LINE_SEARCH_SLOPE * alpha * descent:
+                    accepted = cand
+                    break
             alpha *= LINE_SEARCH_BACKTRACK
-        if accepted is None or got[0] >= val:
+        if accepted is None or cand_val >= val:
             # rounding floor: no representable progress possible
-            return y, True, steps, f0
-        y, f0 = accepted, got[1]
+            return y, point, True, steps
+        y, point = accepted, cand_point
         steps += 1
         if callback is not None and callback(y):
-            return y, True, steps, f0
-    return y, False, steps, f0
+            return y, point, True, steps
+    return y, point, False, steps
 
 
-def _central_path(barrier, y, callback=None):
-    """Center at t = INITIAL_T, then BARRIER_MU times more each round,
+def _central_path(barrier, y, point, t, callback=None):
+    """Center at barrier weight t, then BARRIER_MU times more each round,
     until callback(y) asks to stop, a centering hits the Newton cap, or
     the certified gap m/t is at most DUALITY_GAP_TOL.
 
-    Returns (y, t, status, steps, rows) with one (outer, t, f0, gap) row
-    per centering; status is MAX_ITERATIONS after a capped centering and
-    OPTIMAL otherwise.
+    Returns (status, steps, rows) with one (t, y, f0) row per centering;
+    status is MAX_ITERATIONS after a capped centering and OPTIMAL
+    otherwise.
     """
     m = barrier.packed.count - 1
-    t = INITIAL_T
     total_steps = 0
     rows = []
     while True:
-        y, centered, steps, f0 = _center(barrier, y, t, callback)
+        y, point, centered, steps = _center(barrier, y, point, t, callback)
         total_steps += steps
-        rows.append((len(rows), t, f0, m / t))
+        rows.append((t, y, point[0][0]))
         if callback is not None and callback(y):
-            return y, t, OPTIMAL, total_steps, rows
+            return OPTIMAL, total_steps, rows
         if not centered:
-            return y, t, MAX_ITERATIONS, total_steps, rows
+            return MAX_ITERATIONS, total_steps, rows
         if m / t <= DUALITY_GAP_TOL:
-            return y, t, OPTIMAL, total_steps, rows
+            return OPTIMAL, total_steps, rows
         t *= BARRIER_MU
 
 
-def _trace_write(path, rows):
+def _warm_start(barrier, path):
+    """(y, point, t) to resume the barrier from: the last (t, y) of path,
+    scanned in increasing t, that is strictly feasible and whose squared
+    Newton decrement under this barrier at weight t is at most
+    WARM_DECREMENT_SQ; None when the first point already fails."""
+    start = None
+    for t, y in path:
+        point = barrier.evaluate(y)
+        if point is None:
+            break
+        if -_newton_direction(barrier, y, t, point)[2] > WARM_DECREMENT_SQ:
+            break
+        start = (y, point, t)
+    return start
+
+
+def _trace_write(path, rows, m):
     with open(path, "w") as fh:
         fh.write("outer_iteration,t,objective,gap\n")
-        for outer, t, f0, gap in rows:
-            fh.write(f"{outer},{float(t)!r},{float(f0)!r},{float(gap)!r}\n")
+        for outer, (t, _, f0) in enumerate(rows):
+            fh.write(f"{outer},{float(t)!r},{float(f0)!r},{float(m / t)!r}\n")
 
 
 def solve(problem: ConvexFormProblem, y0=None, *,
-          trace_path: str | None = None) -> SolverResult:
+          trace_path: str | None = None,
+          warm_path: list | None = None) -> SolverResult:
     """Solve a convex-form GP to its global optimum.
 
     y0 must be strictly feasible for all inequalities when given; when
@@ -260,6 +304,14 @@ def solve(problem: ConvexFormProblem, y0=None, *,
     when phase-1 certifies that no strictly feasible point exists.
     trace_path, when set, names a CSV of (outer, t, objective, gap), one
     row per centering.
+
+    warm_path is the path of an earlier solve with the same constraints,
+    such as the previous pass of a sequential scheme.  The barrier then
+    resumes from the point _warm_start picks, at its t on the same
+    INITIAL_T * BARRIER_MU**i grid, so the final t and certified gap are
+    those of a cold solve.  With no usable point, or when a warm
+    centering hits the Newton cap, the solve runs cold from y0 at
+    t = INITIAL_T; the capped attempt's steps still count.
     """
     if y0 is None:
         feas = find_feasible(problem)
@@ -269,17 +321,26 @@ def solve(problem: ConvexFormProblem, y0=None, *,
         y0 = feas.y
     barrier = _Barrier(problem.objective_exponents, problem.objective_offsets,
                        problem.constraint_exponents, problem.constraint_offsets)
-    y = np.asarray(y0, dtype=float)
-    if barrier.value(y, INITIAL_T) is None:
+    y0 = np.asarray(y0, dtype=float)
+    point = barrier.evaluate(y0)
+    if point is None:
         raise ValueError("y0 is not strictly feasible")
 
-    y, t, status, steps, rows = _central_path(barrier, y)
+    steps = 0
+    warm = _warm_start(barrier, warm_path) if warm_path else None
+    if warm is not None:
+        status, steps, rows = _central_path(barrier, *warm)
+    if warm is None or status == MAX_ITERATIONS:
+        status, cold_steps, rows = _central_path(barrier, y0, point, INITIAL_T)
+        steps += cold_steps
+    m = barrier.packed.count - 1
     if trace_path is not None:
-        _trace_write(trace_path, rows)
-    f0 = rows[-1][2]
+        _trace_write(trace_path, rows, m)
+    t, y, f0 = rows[-1]
     return SolverResult(y=y, x=np.exp(y), objective_value=float(np.exp(f0)),
                         status=status, newton_steps_used=steps,
-                        certified_gap=rows[-1][3])
+                        certified_gap=m / t,
+                        path=[(t, y) for t, y, _ in rows])
 
 
 def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
@@ -317,8 +378,9 @@ def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
 
     if early_exit(z):
         return FeasibilityResult(True, y, best_slack, OPTIMAL)
-    z, _, status, _, _ = _central_path(barrier, z, callback=early_exit)
+    status, _, rows = _central_path(barrier, z, barrier.evaluate(z), INITIAL_T,
+                                    callback=early_exit)
     if best_slack < -FEASIBILITY_MARGIN:
         # early_exit stops the path at the first point that clears the margin
-        return FeasibilityResult(True, z[:-1], best_slack, OPTIMAL)
+        return FeasibilityResult(True, rows[-1][1][:-1], best_slack, OPTIMAL)
     return FeasibilityResult(False, None, best_slack, status)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, support_allocation
+from scma_d2d import allocation
 from scma_d2d.allocation import (
     AllocationSolverError,
     InfeasibleScenarioError,
@@ -239,6 +240,52 @@ class TestAllocate:
             trace.initial_sum_rate_bits * cfg.rate_scale)
         for row, rate in zip(rows, trace.rates()):
             assert float(row[-2]) == pytest.approx(rate * cfg.rate_scale)
+
+
+class TestRuntimeInvariants:
+    """allocate checks every pass: optimal status, a certified gap of at
+    most gp.DUALITY_GAP_TOL, and a sum rate no more than ASCENT_TOL_BITS
+    below the last one.  A breach raises with the pass's SolverResult."""
+
+    def run_with(self, monkeypatch, doctor):
+        """allocate at seed 0, J_D = 1, with doctor(result, y0) in place
+        of every solve's result; returns the error and the results
+        allocate saw."""
+        original = allocation.solve
+        returned = []
+
+        def doctored(*args, **kwargs):
+            returned.append(doctor(original(*args, **kwargs), kwargs["y0"]))
+            return returned[-1]
+
+        monkeypatch.setattr(allocation, "solve", doctored)
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
+        with pytest.raises(AllocationSolverError) as err:
+            allocate(cfg, ch, graph, occ)
+        return err.value, returned
+
+    def test_rate_fall_raises(self, monkeypatch):
+        """The first pass returns its start with every power e^3 times
+        lower, which loses rate to the noise floor."""
+        def worse(res, y0):
+            return dataclasses.replace(res, y=y0 - 3.0, x=np.exp(y0 - 3.0))
+
+        err, returned = self.run_with(monkeypatch, worse)
+        assert "lowered the sum rate" in str(err)
+        assert len(returned) == 1
+        assert err.result is returned[0]
+
+    def test_uncertified_gap_raises(self, monkeypatch):
+        err, returned = self.run_with(
+            monkeypatch, lambda res, _: dataclasses.replace(res, certified_gap=1e-6))
+        assert "gap" in str(err)
+        assert err.result is returned[0]
+
+    def test_non_optimal_status_raises(self, monkeypatch):
+        err, returned = self.run_with(
+            monkeypatch, lambda res, _: dataclasses.replace(res, status="max_iterations"))
+        assert "max_iterations" in str(err)
+        assert err.result is returned[0]
 
 
 class TestFeasibleStart:

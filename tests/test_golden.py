@@ -2,9 +2,10 @@
 show they keep behaviour.
 
 The files under tests/fixtures/ were written by record() below; run this
-module as a script to write them again:
+module as a script to write them all again, or only the ones named:
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py solver_trace_seed0.csv newton_steps.json
 
 Feasibility flags, random-baseline draw counts and random-allocation rates
 must match exactly, proposed rates to 1e-9 bits and powers to a relative
@@ -17,12 +18,18 @@ J_D = 4 allocations match in their per-pass rates to 1e-9 bits and their
 final powers to a relative 1e-6.  The Newton step count of every GP solve
 inside `allocate` at J_D = 1, 2 and 4 must match exactly, so a change to
 the Newton kernel can show that it moved only the cost of a step.
+newton_steps_cold.json keeps those counts as they were when every pass
+started the barrier cold at t = 1; no recorder writes it.  Against it,
+the warm-started solves must take the same steps in the first pass, no
+more steps in any pass, and the same number of passes.
 """
 
 import csv
 import dataclasses
 import hashlib
 import json
+import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -79,24 +86,31 @@ ALLOCATE_FILE = "allocate_jd4.json"
 # seed 2 at J_D = 4 is certified infeasible (see START_FILE)
 ALLOCATE_SEEDS = (0, 1, 3)
 NEWTON_FILE = "newton_steps.json"
+COLD_NEWTON_FILE = "newton_steps_cold.json"
 
 
-def record(out_dir):
-    """Write every golden file into out_dir."""
-    out_dir = Path(out_dir)
+def _record_compare(out_dir):
     run_baseline_comparison(ExperimentSpec(
         "baseline_comparison", ScenarioConfig(J_D=2, seed=0),
         str(out_dir / "compare_jd2.csv"), num_seeds=10))
+
+
+def _record_sweep(out_dir):
     run_sweep(ExperimentSpec(
         "sweep_cellular_cap", ScenarioConfig(J_D=1, seed=0),
         str(out_dir / "sweep_cell_jd1.csv"), num_seeds=5,
         sweep_values_dbm=(26.0, 30.0)))
+
+
+def _record_convergence(out_dir):
     for jd in (1, 2):
         run_convergence(ExperimentSpec(
             "convergence", ScenarioConfig(J_D=jd, seed=0),
             str(out_dir / f"convergence_jd{jd}.csv"), num_seeds=3))
 
-    # the random baseline on every compare seed, infeasible ones included
+
+def _record_draws(out_dir):
+    """The random baseline on every compare seed, infeasible ones included."""
     cfg = ScenarioConfig(J_D=2)
     graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
     occupancy = default_occupancy(cfg.J_D)
@@ -110,14 +124,8 @@ def record(out_dir):
         draws[str(seed)] = {"draws_used": draw.draws_used, "feasible": draw.feasible}
     (out_dir / DRAWS_FILE).write_text(json.dumps(draws, indent=1) + "\n")
 
-    _record_solver_traces(out_dir / "solver_trace_seed0.csv")
-    _record_feasible_starts(out_dir / START_FILE)
-    _record_products(out_dir / PRODUCTS_FILE)
-    _record_allocations(out_dir / ALLOCATE_FILE)
-    _record_newton_steps(out_dir / NEWTON_FILE)
 
-
-def _record_solver_traces(path):
+def _record_solver_traces(out_dir):
     """Every pass's GP solver trace of the seed-0 convergence run at
     J_D = 1 and 2, stacked into one CSV."""
     lines = ["jd,seed,pass,outer_iteration,t,objective,gap"]
@@ -131,10 +139,10 @@ def _record_solver_traces(path):
                 trace = Path(tmp) / f"conv_jd{jd}_solver_seed0_pass{it}.csv"
                 for row in trace.read_text().splitlines()[1:]:
                     lines.append(f"{jd},0,{it},{row}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    (out_dir / "solver_trace_seed0.csv").write_text("\n".join(lines) + "\n")
 
 
-def _record_feasible_starts(path):
+def _record_feasible_starts(out_dir):
     """feasible_start at J_D = 4 for seeds 0-39: the start vector, or the
     best log-slack of the phase-1 certificate when the floors are
     jointly unsatisfiable."""
@@ -154,10 +162,10 @@ def _record_feasible_starts(path):
             starts[str(seed)] = {"feasible": False, "max_slack": err.max_slack}
             continue
         starts[str(seed)] = {"feasible": True, "x": [float(v) for v in x]}
-    Path(path).write_text(json.dumps(starts, indent=1) + "\n")
+    (out_dir / START_FILE).write_text(json.dumps(starts, indent=1) + "\n")
 
 
-def _record_products(path):
+def _record_products(out_dir):
     """Term count and sha256 of the coefficient and exponent bytes of the
     expanded numerator and denominator products at seed 0, J_D = 1..4."""
     digests = {}
@@ -172,10 +180,10 @@ def _record_products(path):
                        hashlib.sha256(p.exponents.tobytes()).hexdigest()}
             for side, p in (("numerator", product(p2.numerator_factors)),
                             ("denominator", product(p2.denominator_factors)))}
-    Path(path).write_text(json.dumps(digests, indent=1) + "\n")
+    (out_dir / PRODUCTS_FILE).write_text(json.dumps(digests, indent=1) + "\n")
 
 
-def _record_allocations(path):
+def _record_allocations(out_dir):
     """allocate at J_D = 4: the per-pass rates and the final powers."""
     runs = {}
     for seed in ALLOCATE_SEEDS:
@@ -186,10 +194,10 @@ def _record_allocations(path):
                            "rates": [float(r) for r in trace.rates()],
                            "cellular_w": [float(v) for v in final.cellular.ravel()],
                            "d2d_w": [float(v) for v in final.d2d]}
-    Path(path).write_text(json.dumps(runs, indent=1) + "\n")
+    (out_dir / ALLOCATE_FILE).write_text(json.dumps(runs, indent=1) + "\n")
 
 
-def _record_newton_steps(path):
+def _record_newton_steps(out_dir):
     """newton_steps_used of every GP solve inside allocate, in call
     order, for seeds 0-9 at J_D = 1, 2 and 4; null for a draw certified
     infeasible before any solve."""
@@ -214,7 +222,40 @@ def _record_newton_steps(path):
                 allocation.solve = original
             runs[f"jd{jd}_seed{seed}"] = steps
     lines = [f" {json.dumps(key)}: {json.dumps(steps)}" for key, steps in runs.items()]
-    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    (out_dir / NEWTON_FILE).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+# (the golden files a recorder writes, the recorder)
+RECORDERS = (
+    (("compare_jd2.csv",), _record_compare),
+    (("sweep_cell_jd1.csv", "sweep_cell_jd1_summary.csv"), _record_sweep),
+    (("convergence_jd1.csv", "convergence_jd2.csv"), _record_convergence),
+    ((DRAWS_FILE,), _record_draws),
+    (("solver_trace_seed0.csv",), _record_solver_traces),
+    ((START_FILE,), _record_feasible_starts),
+    ((PRODUCTS_FILE,), _record_products),
+    ((ALLOCATE_FILE,), _record_allocations),
+    ((NEWTON_FILE,), _record_newton_steps),
+)
+
+
+def record(out_dir, names=None):
+    """Write the golden files named in names, or every one when names is
+    None, into out_dir.  Recorders run in a temporary directory and only
+    the named files are copied out, so a recorder that writes several
+    files cannot overwrite one that was not asked for."""
+    known = [name for files, _ in RECORDERS for name in files]
+    names = known if names is None else list(names)
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ValueError(f"no golden file named {unknown}; known: {known}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for files, recorder in RECORDERS:
+            wanted = [name for name in files if name in names]
+            if wanted:
+                recorder(Path(tmp))
+                for name in wanted:
+                    shutil.copyfile(Path(tmp) / name, Path(out_dir) / name)
 
 
 def _rows(path):
@@ -311,6 +352,39 @@ def test_newton_steps_match_golden(fresh):
     assert got == want
 
 
+def test_newton_steps_within_cold_ceiling(fresh):
+    """The warm-started passes against the cold-start counts: pass 1 and
+    the pass count unchanged, no pass slower, and at least 30% fewer
+    steps in total at each J_D."""
+    cold = json.loads((FIXTURES / COLD_NEWTON_FILE).read_text())
+    warm = json.loads((fresh / NEWTON_FILE).read_text())
+    assert list(warm) == list(cold)
+    totals = {}
+    for key, c in cold.items():
+        w = warm[key]
+        if c is None:
+            assert w is None, key
+            continue
+        assert len(w) == len(c), key
+        assert w[0] == c[0], key
+        assert all(a <= b for a, b in zip(w, c)), key
+        jd = key.split("_")[0]
+        warm_total, cold_total = totals.get(jd, (0, 0))
+        totals[jd] = (warm_total + sum(w), cold_total + sum(c))
+    assert sorted(totals) == ["jd1", "jd2", "jd4"]
+    for jd, (warm_total, cold_total) in totals.items():
+        assert warm_total <= 0.7 * cold_total, (jd, warm_total, cold_total)
+
+
+def test_record_writes_only_named_files(tmp_path):
+    record(tmp_path, [PRODUCTS_FILE])
+    assert [p.name for p in tmp_path.iterdir()] == [PRODUCTS_FILE]
+    assert (json.loads((tmp_path / PRODUCTS_FILE).read_text())
+            == json.loads((FIXTURES / PRODUCTS_FILE).read_text()))
+    with pytest.raises(ValueError, match="no golden file"):
+        record(tmp_path, ["rates.csv"])
+
+
 if __name__ == "__main__":
     FIXTURES.mkdir(exist_ok=True)
-    record(FIXTURES)
+    record(FIXTURES, sys.argv[1:] or None)

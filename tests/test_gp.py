@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from conftest import make_scenario
 from hypothesis import strategies as st
 
-from scma_d2d import gp
+from scma_d2d import allocation, gp
 from scma_d2d.gp import (
     INFEASIBLE,
     MAX_ITERATIONS,
@@ -361,3 +362,82 @@ class TestSolverBehaviour:
                 Monomial.from_powers(reg, 0.25, {"x2": 1}).as_posynomial()]
         res = solve(to_convex_form(obj, constraints=cons), y0=np.zeros(2))
         assert res.status == "max_iterations"
+
+
+def allocate_solves(monkeypatch, seed, jd):
+    """(problem, y0, warm_path, result) of every GP solve inside allocate
+    at the given scenario, in call order."""
+    original = allocation.solve
+    calls = []
+
+    def capture(problem, y0=None, **kwargs):
+        res = original(problem, y0=y0, **kwargs)
+        calls.append((problem, y0, kwargs.get("warm_path"), res))
+        return res
+
+    monkeypatch.setattr(allocation, "solve", capture)
+    cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd)
+    allocation.allocate(cfg, ch, graph, occ)
+    monkeypatch.undo()
+    return calls
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("jd", [1, 2, 4])
+    def test_matches_cold_solve(self, monkeypatch, jd):
+        """Every warm-started pass reaches the cold solve's optimum within
+        the certified gap, at the same final t and gap, in no more Newton
+        steps."""
+        calls = allocate_solves(monkeypatch, seed=0, jd=jd)
+        assert calls[0][2] is None
+        assert all(warm_path is not None for _, _, warm_path, _ in calls[1:])
+        starts = []
+        for problem, y0, warm_path, warm in calls[1:]:
+            cold = solve(problem, y0=y0)
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.path[-1][0] == cold.path[-1][0]
+            assert warm.certified_gap == cold.certified_gap <= gp.DUALITY_GAP_TOL
+            assert abs(np.log(warm.objective_value / cold.objective_value)) \
+                <= cold.certified_gap
+            assert warm.newton_steps_used <= cold.newton_steps_used
+            assert [t for t, _ in cold.path] == \
+                [gp.INITIAL_T * gp.BARRIER_MU ** i for i in range(len(cold.path))]
+            starts.append(warm.path[0][0])
+        # the warm start was taken, not only offered
+        assert max(starts) > gp.INITIAL_T
+
+    def test_capped_warm_centering_restarts_cold(self, monkeypatch):
+        """When the warm centering hits the Newton cap the solve restarts
+        cold at t = INITIAL_T from y0: the cold result, with the capped
+        attempt's steps added.  The pass taken is the one whose warm
+        start has the largest t."""
+        calls = allocate_solves(monkeypatch, seed=0, jd=1)
+        problem, y0, warm_path, _ = max(calls[1:], key=lambda c: c[3].path[0][0])
+        cold = solve(problem, y0=y0)
+        real = gp._center
+        centerings = []
+
+        def capped_first(barrier, y, point, t, callback=None):
+            y, point, centered, steps = real(barrier, y, point, t, callback)
+            centerings.append((t, steps))
+            return y, point, centered and len(centerings) > 1, steps
+
+        monkeypatch.setattr(gp, "_center", capped_first)
+        res = solve(problem, y0=y0, warm_path=warm_path)
+        assert centerings[0][0] > gp.INITIAL_T
+        assert centerings[1][0] == gp.INITIAL_T
+        assert res.status == OPTIMAL
+        np.testing.assert_array_equal(res.y, cold.y)
+        assert res.objective_value == cold.objective_value
+        assert res.certified_gap == cold.certified_gap
+        assert [t for t, _ in res.path] == [t for t, _ in cold.path]
+        assert res.newton_steps_used == cold.newton_steps_used + centerings[0][1]
+
+    def test_unusable_path_runs_cold(self, monkeypatch):
+        """A path whose first point is outside the domain gives the cold
+        solve exactly."""
+        problem, y0, _, _ = allocate_solves(monkeypatch, seed=0, jd=1)[1]
+        cold = solve(problem, y0=y0)
+        res = solve(problem, y0=y0, warm_path=[(gp.INITIAL_T, y0 + 50.0)])
+        np.testing.assert_array_equal(res.y, cold.y)
+        assert res.newton_steps_used == cold.newton_steps_used
