@@ -375,10 +375,10 @@ def allocate_solves(monkeypatch, seed, jd):
         calls.append((problem, y0, kwargs.get("warm_path"), res))
         return res
 
-    monkeypatch.setattr(allocation, "solve", capture)
     cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd)
-    allocation.allocate(cfg, ch, graph, occ)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(allocation, "solve", capture)
+        allocation.allocate(cfg, ch, graph, occ)
     return calls
 
 
