@@ -46,7 +46,6 @@ from .capacity import (
     eigenvalue_upper_bounds,
     equivalent_noise,
     exact_cellular_capacity_general,
-    write_bound_report_csv,
 )
 from .channel import (
     ChannelRealization,

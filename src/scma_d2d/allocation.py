@@ -30,7 +30,14 @@ from .capacity import (
 )
 from .channel import ChannelRealization, ScenarioConfig
 from .factor_graph import FactorGraph, incidence_sets
-from .gp import DUALITY_GAP_TOL, OPTIMAL, PackedConstraints, find_feasible, solve
+from .gp import (
+    DUALITY_GAP_TOL,
+    OPTIMAL,
+    PackedConstraints,
+    SolverResult,
+    find_feasible,
+    solve,
+)
 from .posynomial import (
     Monomial,
     Posynomial,
@@ -219,7 +226,7 @@ def initial_allocation(cfg: ScenarioConfig, graph: FactorGraph) -> PowerAllocati
 class IterationPoint:
     powers: PowerAllocation
     sum_rate_bits: float
-    solver_status: str
+    solver: SolverResult      # the pass's GP solve
 
 
 @dataclass
@@ -260,8 +267,7 @@ def feasible_start(cfg, graph, p2: P2Problem) -> np.ndarray:
 
 
 def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
-             occupancy, t_max: int = 10,
-             solver_trace_pattern: str | None = None) -> IterationTrace:
+             occupancy, t_max: int = 10) -> IterationTrace:
     """Run the iterative condensation loop from the half-cap start.
 
     Each pass condenses the expanded denominator at the current powers,
@@ -271,9 +277,8 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     first warm-starts its solve from the previous pass's central path.
     The solver certifies each pass to its gap of gp.DUALITY_GAP_TOL =
     1e-9, well inside the ASCENT_TOL_BITS = 1e-8 monotonicity budget; a
-    pass that breaks either raises AllocationSolverError.
-    solver_trace_pattern, when given, is formatted with the pass index to
-    name a per-pass solver trace CSV.
+    pass that breaks either raises AllocationSolverError.  Each point
+    keeps its pass's SolverResult, central path included.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
@@ -290,11 +295,9 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     y = np.log(x)
     path = None
     for it in range(t_max):
-        trace_path = (None if solver_trace_pattern is None
-                      else solver_trace_pattern.format(it))
         surrogate = numerator.divide_by_monomial(condense(denominator, x))
         res = solve(to_convex_form(surrogate, constraints=p2.constraints), y0=y,
-                    trace_path=trace_path, warm_path=path)
+                    warm_path=path)
         if res.status != OPTIMAL:
             raise AllocationSolverError(f"pass {it + 1}: GP solve returned "
                                         f"{res.status}", res)
@@ -307,7 +310,7 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
         if rate < prev_rate - ASCENT_TOL_BITS:
             raise AllocationSolverError(f"pass {it + 1} lowered the sum rate by "
                                         f"{prev_rate - rate:.3e} bits", res)
-        trace.points.append(IterationPoint(alloc, rate, res.status))
+        trace.points.append(IterationPoint(alloc, rate, res))
         if abs(rate - prev_rate) <= REL_TOL * max(1.0, abs(prev_rate)):
             trace.converged = True
             break

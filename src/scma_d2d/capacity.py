@@ -197,13 +197,6 @@ def bound_report(ch: ChannelRealization, splits,
     )
 
 
-def write_bound_report_csv(report: CapacityBoundReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("k,lambda,lower,upper\n")
-        for k, lam, lo, hi in report.rows():
-            fh.write(f"{k},{lam!r},{lo!r},{hi!r}\n")
-
-
 def closed_form_cellular_capacity(ch: ChannelRealization, alloc: PowerAllocation,
                                   noise: EquivalentNoise,
                                   graph: FactorGraph) -> float:

@@ -66,9 +66,11 @@ class ExperimentSpec:
             raise ValueError("num_seeds must be at least 1")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
-        parent = Path(self.output_path).parent
-        if not parent.is_dir():
-            raise ValueError(f"output directory {str(parent)!r} does not exist")
+        out = Path(self.output_path)
+        if not out.parent.is_dir():
+            raise ValueError(f"output directory {str(out.parent)!r} does not exist")
+        if out.is_dir():
+            raise ValueError(f"output path {self.output_path!r} is a directory")
         self.scenario.validate()
         return self
 
@@ -136,6 +138,18 @@ class ConvergenceResult:
         return not self.traces
 
 
+def _write_solver_traces(output_path, seed, trace):
+    """One CSV per pass, <stem>_solver_seed<seed>_pass<i>.csv, with a row
+    per centering of that pass's GP solve."""
+    stem = str(Path(output_path).with_suffix(""))
+    for it, point in enumerate(trace.points):
+        lines = ["outer_iteration,t,objective,gap"]
+        for outer, (t, _, f0, gap) in enumerate(point.solver.path):
+            lines.append(f"{outer},{_fmt(t)},{_fmt(f0)},{_fmt(gap)}")
+        Path(f"{stem}_solver_seed{seed}_pass{it}.csv").write_text(
+            "\n".join(lines) + "\n")
+
+
 def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     """One allocator trace per seed; rows hold per-variable powers (watts
     and dBm) and the sum rate at every pass, pass 0 being the start."""
@@ -157,17 +171,14 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     for seed in _seeds(spec):
         run_cfg = dataclasses.replace(cfg, seed=seed)
         _, ch = _draw(run_cfg, seed)
-        pattern = None
-        if spec.trace_solver:
-            pattern = str(Path(spec.output_path).with_suffix("")) + \
-                f"_solver_seed{seed}_pass{{}}.csv"
         try:
-            trace = allocate(run_cfg, ch, graph, occupancy, t_max=spec.t_max,
-                             solver_trace_pattern=pattern)
+            trace = allocate(run_cfg, ch, graph, occupancy, t_max=spec.t_max)
         except InfeasibleScenarioError:
             infeasible.append(seed)
             continue
         traces[seed] = trace
+        if spec.trace_solver:
+            _write_solver_traces(spec.output_path, seed, trace)
         allocs = [trace.initial_powers] + [p.powers for p in trace.points]
         rates = trace.rates()
         for it, (alloc, rate) in enumerate(zip(allocs, rates)):

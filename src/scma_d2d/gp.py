@@ -12,14 +12,13 @@ hundred in magnitude are handled without overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .posynomial import ConvexFormProblem
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max_iterations"
 
 # a point counts as strictly feasible when every constraint has at least
@@ -44,15 +43,16 @@ DUALITY_GAP_TOL = 1e-9
 
 @dataclass
 class SolverResult:
-    y: np.ndarray | None
-    x: np.ndarray | None
+    y: np.ndarray
+    x: np.ndarray
     objective_value: float
     status: str
     newton_steps_used: int
     certified_gap: float
-    # (t, y) at the end of each centering, in increasing t; a later solve
-    # with the same constraints can warm-start from it (see solve)
-    path: list = field(default_factory=list)
+    # one (t, y, log objective, gap m/t) record per centering, in
+    # increasing t; certified_gap is the last record's gap, and a later
+    # solve with the same constraints can warm-start from it (see solve)
+    path: list
 
 
 @dataclass
@@ -251,8 +251,8 @@ def _central_path(barrier, y, point, t, callback=None):
     until callback(y) asks to stop, a centering hits the Newton cap, or
     the certified gap m/t is at most DUALITY_GAP_TOL.
 
-    Returns (status, steps, rows) with one (t, y, f0) row per centering;
-    status is MAX_ITERATIONS after a capped centering and OPTIMAL
+    Returns (status, steps, rows) with one (t, y, f0, m/t) row per
+    centering; status is MAX_ITERATIONS after a capped centering and OPTIMAL
     otherwise.
     """
     m = barrier.packed.count - 1
@@ -261,7 +261,7 @@ def _central_path(barrier, y, point, t, callback=None):
     while True:
         y, point, centered, steps = _center(barrier, y, point, t, callback)
         total_steps += steps
-        rows.append((t, y, point[0][0]))
+        rows.append((t, y, point[0][0], m / t))
         if callback is not None and callback(y):
             return OPTIMAL, total_steps, rows
         if not centered:
@@ -272,12 +272,12 @@ def _central_path(barrier, y, point, t, callback=None):
 
 
 def _warm_start(barrier, path):
-    """(y, point, t) to resume the barrier from: the last (t, y) of path,
-    scanned in increasing t, that is strictly feasible and whose squared
-    Newton decrement under this barrier at weight t is at most
-    WARM_DECREMENT_SQ; None when the first point already fails."""
+    """(y, point, t) to resume the barrier from: the last (t, y) of the
+    path records, scanned in increasing t, that is strictly feasible and
+    whose squared Newton decrement under this barrier at weight t is at
+    most WARM_DECREMENT_SQ; None when the first point already fails."""
     start = None
-    for t, y in path:
+    for t, y, *_ in path:
         point = barrier.evaluate(y)
         if point is None:
             break
@@ -287,23 +287,10 @@ def _warm_start(barrier, path):
     return start
 
 
-def _trace_write(path, rows, m):
-    with open(path, "w") as fh:
-        fh.write("outer_iteration,t,objective,gap\n")
-        for outer, (t, _, f0) in enumerate(rows):
-            fh.write(f"{outer},{float(t)!r},{float(f0)!r},{float(m / t)!r}\n")
-
-
-def solve(problem: ConvexFormProblem, y0=None, *,
-          trace_path: str | None = None,
+def solve(problem: ConvexFormProblem, y0, *,
           warm_path: list | None = None) -> SolverResult:
-    """Solve a convex-form GP to its global optimum.
-
-    y0 must be strictly feasible for all inequalities when given; when
-    omitted, find_feasible supplies one.  Returns status "infeasible"
-    when phase-1 certifies that no strictly feasible point exists.
-    trace_path, when set, names a CSV of (outer, t, objective, gap), one
-    row per centering.
+    """Solve a convex-form GP to its global optimum from y0, which must be
+    strictly feasible for all inequalities (find_feasible supplies one).
 
     warm_path is the path of an earlier solve with the same constraints,
     such as the previous pass of a sequential scheme.  The barrier then
@@ -313,12 +300,6 @@ def solve(problem: ConvexFormProblem, y0=None, *,
     centering hits the Newton cap, the solve runs cold from y0 at
     t = INITIAL_T; the capped attempt's steps still count.
     """
-    if y0 is None:
-        feas = find_feasible(problem)
-        if not feas.feasible:
-            status = MAX_ITERATIONS if feas.status == MAX_ITERATIONS else INFEASIBLE
-            return SolverResult(None, None, np.nan, status, 0, np.inf)
-        y0 = feas.y
     barrier = _Barrier(problem.objective_exponents, problem.objective_offsets,
                        problem.constraint_exponents, problem.constraint_offsets)
     y0 = np.asarray(y0, dtype=float)
@@ -333,14 +314,10 @@ def solve(problem: ConvexFormProblem, y0=None, *,
     if warm is None or status == MAX_ITERATIONS:
         status, cold_steps, rows = _central_path(barrier, y0, point, INITIAL_T)
         steps += cold_steps
-    m = barrier.packed.count - 1
-    if trace_path is not None:
-        _trace_write(trace_path, rows, m)
-    t, y, f0 = rows[-1]
+    _, y, f0, gap = rows[-1]
     return SolverResult(y=y, x=np.exp(y), objective_value=float(np.exp(f0)),
                         status=status, newton_steps_used=steps,
-                        certified_gap=m / t,
-                        path=[(t, y) for t, y, _ in rows])
+                        certified_gap=gap, path=rows)
 
 
 def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:

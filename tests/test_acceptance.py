@@ -9,6 +9,7 @@ import dataclasses
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def paired_endpoint_diffs(detail_path):
     """Per-seed sum-rate difference between the highest and lowest sweep
     value, over seeds feasible at both endpoints."""
     rows = {}
-    for line in open(detail_path).read().strip().splitlines()[1:]:
+    for line in Path(detail_path).read_text().strip().splitlines()[1:]:
         value, seed, proposed, _, feasible = line.split(",")
         if feasible == "1":
             rows.setdefault(int(seed), {})[float(value)] = float(proposed)

@@ -30,6 +30,7 @@ from scma_d2d.capacity import PowerAllocation, cellular_sinr, d2d_sinr, equivale
 from scma_d2d.channel import ChannelRealization, ScenarioConfig
 from scma_d2d.experiments import ExperimentSpec, run_convergence
 from scma_d2d.factor_graph import build_factor_graph
+from scma_d2d.gp import DUALITY_GAP_TOL
 from scma_d2d.posynomial import condense, product
 
 
@@ -160,7 +161,7 @@ class TestAllocate:
             assert b >= a - 1e-8
         assert trace.converged
         assert trace.iterations_used <= 5
-        assert all(p.solver_status == "optimal" for p in trace.points)
+        assert all(p.solver.status == "optimal" for p in trace.points)
 
     def test_support_respected_throughout(self):
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
@@ -286,6 +287,44 @@ class TestRuntimeInvariants:
             monkeypatch, lambda res, _: dataclasses.replace(res, status="max_iterations"))
         assert "max_iterations" in str(err)
         assert err.result is returned[0]
+
+
+class TestExtremeChannelScales:
+    """Channel scales far outside the defaults either run with the usual
+    guarantees or raise InfeasibleScenarioError; nothing else is raised
+    and no warning is issued."""
+
+    def test_huge_cell_is_certified_infeasible(self):
+        """A 1e9 m cell puts every cellular floor out of reach."""
+        for seed in range(4):
+            cfg, graph, ch, occ = make_scenario(seed=seed, jd=1, cell_radius_m=1e9)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InfeasibleScenarioError) as err:
+                    allocate(cfg, ch, graph, occ)
+            assert err.value.max_slack > 0
+
+    def test_tiny_cell_climbs_or_is_certified_infeasible(self):
+        """A 1 mm cell with 1 m D2D links: seed 1 climbs monotonically to
+        about 266.47 bits/s/Hz with certified gaps; seeds 0, 2 and 3 get
+        phase-1 certificates."""
+        for seed in range(4):
+            cfg, graph, ch, occ = make_scenario(
+                seed=seed, jd=1, cell_radius_m=1e-3, d2d_distance_range_m=(1.0, 1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if seed != 1:
+                    with pytest.raises(InfeasibleScenarioError) as err:
+                        allocate(cfg, ch, graph, occ)
+                    assert err.value.max_slack > 0
+                    continue
+                trace = allocate(cfg, ch, graph, occ)
+            rates = trace.rates()
+            assert all(b >= a - allocation.ASCENT_TOL_BITS
+                       for a, b in zip(rates, rates[1:]))
+            assert trace.converged
+            assert trace.final.sum_rate_bits == pytest.approx(266.47, abs=5e-3)
+            assert all(p.solver.certified_gap <= DUALITY_GAP_TOL for p in trace.points)
 
 
 class TestFeasibleStart:

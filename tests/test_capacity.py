@@ -302,24 +302,6 @@ class TestMonotonicity:
         assert np.all(np.diff(sinrs) < 0)
 
 
-class TestBoundReportCsv:
-    def test_rows_round_trip(self, tmp_path):
-        from scma_d2d.capacity import write_bound_report_csv
-        cfg, graph, ch, occ = make_scenario(seed=13, jd=1)
-        skel = random_skeleton(graph, np.random.default_rng(13))
-        splits = [covariance_split(skel, j) for j in range(cfg.J)]
-        alloc = PowerAllocation(np.zeros((cfg.J, cfg.K)), np.array([0.3]))
-        report = bound_report(ch, splits, equivalent_noise(ch, alloc, occ))
-        out = tmp_path / "report.csv"
-        write_bound_report_csv(report, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "k,lambda,lower,upper"
-        assert len(lines) == 1 + cfg.K
-        k, lam, lo, hi = lines[1].split(",")
-        assert (int(k), float(lam)) == (0, report.eigenvalues[0])
-        assert float(lo) <= float(lam) <= float(hi)
-
-
 class TestSingularCovariance:
     def test_zero_noise_rejected(self):
         from scma_d2d.capacity import SingularCovarianceError

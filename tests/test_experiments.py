@@ -1,8 +1,11 @@
 """Tests for the experiment harness and the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from scma_d2d import experiments
 from scma_d2d.channel import ScenarioConfig
 from scma_d2d.cli import main
 from scma_d2d.experiments import (
@@ -33,6 +36,15 @@ class TestExperimentSpec:
         spec.output_path = str(tmp_path / "cmp.csv")
         assert spec.validate() is spec
 
+    def test_output_path_must_not_be_a_directory(self, tmp_path):
+        """An output path naming an existing directory is rejected up
+        front, not when the file is written after every seed has run."""
+        spec = ExperimentSpec(kind="baseline_comparison",
+                              scenario=ScenarioConfig(J_D=1),
+                              output_path=str(tmp_path))
+        with pytest.raises(ValueError, match="is a directory"):
+            spec.validate()
+
 
 class TestConvergenceExperiment:
     def test_single_pass_cap(self, tmp_path):
@@ -40,7 +52,7 @@ class TestConvergenceExperiment:
         pass-0 row carries the starting point's sum rate."""
         spec = spec_for("convergence", tmp_path, num_seeds=1, t_max=1)
         result = run_convergence(spec)
-        lines = open(result.output_path).read().strip().splitlines()
+        lines = Path(result.output_path).read_text().strip().splitlines()
         assert len(lines) == 1 + 2          # header, pass 0 (start), pass 1
         assert result.traces[0].iterations_used == 1
         start = lines[1].split(",")
@@ -51,8 +63,8 @@ class TestConvergenceExperiment:
         spec = spec_for("convergence", tmp_path, num_seeds=2, t_max=3)
         result = run_convergence(spec)
         assert set(result.traces) == {0, 1}
-        seeds_in_file = {line.split(",")[0]
-                         for line in open(result.output_path).read().strip().splitlines()[1:]}
+        rows = Path(result.output_path).read_text().strip().splitlines()[1:]
+        seeds_in_file = {line.split(",")[0] for line in rows}
         assert seeds_in_file == {"0", "1"}
 
     def test_infeasible_seed_counted(self, tmp_path):
@@ -67,7 +79,7 @@ class TestConvergenceExperiment:
     def test_rows_carry_seed_and_converged_flag(self, tmp_path):
         spec = spec_for("convergence", tmp_path, num_seeds=1, t_max=10)
         result = run_convergence(spec)
-        lines = open(result.output_path).read().strip().splitlines()
+        lines = Path(result.output_path).read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header[0] == "seed"
         assert header[-1] == "converged"
@@ -95,10 +107,10 @@ class TestSweepExperiment:
         spec = spec_for("sweep_d2d_cap", tmp_path, num_seeds=3,
                         sweep_values_dbm=(28.0, 30.0))
         result = run_sweep(spec)
-        detail = open(result.detail_path).read().strip().splitlines()
+        detail = Path(result.detail_path).read_text().strip().splitlines()
         assert detail[0] == "sweep_dbm,seed,proposed_bits,random_bits,feasible"
         assert len(detail) == 1 + 2 * 3
-        summary = open(result.summary_path).read().strip().splitlines()
+        summary = Path(result.summary_path).read_text().strip().splitlines()
         assert len(summary) == 1 + 2
 
     def test_requires_sweep_values(self, tmp_path):
@@ -111,9 +123,9 @@ class TestSweepExperiment:
         spec = spec_for("sweep_cellular_cap", tmp_path, num_seeds=2,
                         sweep_values_dbm=(26.0, 30.0))
         first = run_sweep(spec)
-        blob = open(first.detail_path, "rb").read()
+        blob = Path(first.detail_path).read_bytes()
         again = run_sweep(spec)
-        assert open(again.detail_path, "rb").read() == blob
+        assert Path(again.detail_path).read_bytes() == blob
 
 
 class TestBoundValidationExperiment:
@@ -130,7 +142,7 @@ class TestBoundValidationExperiment:
                         scenario=scenario)
         result = run_bound_validation(spec)
         assert result.num_violations == 0
-        for line in open(result.output_path).read().strip().splitlines()[1:]:
+        for line in Path(result.output_path).read_text().strip().splitlines()[1:]:
             _, _, lower, exact, upper, _, _ = line.split(",")
             assert float(lower) == pytest.approx(float(exact), rel=1e-9)
             assert float(upper) == pytest.approx(float(exact), rel=1e-9)
@@ -142,7 +154,7 @@ class TestBaselineComparisonExperiment:
         result = run_baseline_comparison(spec)
         assert result.num_seeds_used + result.num_infeasible == 3
         assert result.mean_proposed > result.mean_random
-        lines = open(result.output_path).read().strip().splitlines()
+        lines = Path(result.output_path).read_text().strip().splitlines()
         assert lines[0] == "seed,proposed_bits,random_bits,feasible"
         assert len(lines) == 4
 
@@ -199,6 +211,14 @@ class TestCli:
         out = tmp_path / "missing" / "cmp.csv"
         assert main(["compare", "--seeds", "1", "--out", str(out)]) == 2
         assert "error: output directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_directory_as_out_exits_two(self, tmp_path, capsys, monkeypatch):
+        """--out naming a directory exits 2 before any seed runs."""
+        monkeypatch.setattr(experiments, "allocate",
+                            lambda *args, **kwargs: pytest.fail("a seed ran"))
+        assert main(["compare", "--seeds", "1", "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_sweep_list_exits_two(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from scma_d2d import allocation, gp
 from scma_d2d.gp import (
-    INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
     FeasibilityResult,
@@ -270,22 +269,12 @@ class TestFeasibility:
                     for A, b in cons]
             assert max(vals) < -1e-6
 
-    def test_solve_reports_infeasible(self):
-        p = lse_problem(("y",), [[1.0]], [0.0],
-                        cons=[([[1.0]], [1.0]), ([[-1.0]], [1.0])])
-        res = solve(p)
-        assert res.status == INFEASIBLE
-        assert res.y is None
-
     def test_phase1_newton_cap_reported(self, monkeypatch):
         """A phase-1 centering that hits the Newton cap is reported as
         max_iterations, not as an infeasibility certificate."""
         monkeypatch.setattr(gp, "MAX_NEWTON", 1)
         p = lse_problem(("y",), [[1.0]], [0.0],
                         cons=[([[1.0]], [1.0]), ([[-1.0]], [1.0])])
-        res = solve(p)
-        assert res.status == MAX_ITERATIONS
-        assert res.y is None
         feas = find_feasible(p)
         assert not feas.feasible
         assert feas.status == MAX_ITERATIONS
@@ -297,7 +286,7 @@ class TestFeasibility:
 
 
 class TestSolverBehaviour:
-    def test_descent_across_outer_iterations(self, tmp_path):
+    def test_descent_across_outer_iterations(self):
         """The true objective is non-increasing along the barrier path."""
         reg = ("x1", "x2")
         obj = Posynomial.from_monomials([
@@ -308,12 +297,9 @@ class TestSolverBehaviour:
             Monomial.from_powers(reg, 0.25, {"x1": 1}).as_posynomial(),
             Monomial.from_powers(reg, 0.25, {"x2": 1}).as_posynomial(),
         ]
-        trace = tmp_path / "trace.csv"
-        res = solve(to_convex_form(obj, constraints=cons), y0=np.zeros(2),
-                    trace_path=str(trace))
+        res = solve(to_convex_form(obj, constraints=cons), y0=np.zeros(2))
         assert res.status == OPTIMAL
-        rows = trace.read_text().strip().splitlines()[1:]
-        objs = [float(r.split(",")[2]) for r in rows]
+        objs = [f0 for _, _, f0, _ in res.path]
         for prev, cur in zip(objs, objs[1:]):
             assert cur <= prev + 1e-10
 
@@ -364,6 +350,71 @@ class TestSolverBehaviour:
         assert res.status == "max_iterations"
 
 
+def witness_gp(seed, n, obj_rows, con_sizes):
+    """A random GP with a strictly feasible witness point w: a box
+    |y_i - w_i| <= c_i keeps the feasible set bounded, and each random
+    LSE constraint has its offsets shifted so that lse_s(w) is in
+    [-3, -0.2].  Returns (problem, w, objective block, constraint blocks)."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=n)
+    cons = []
+    for i, c in enumerate(rng.uniform(0.5, 3.0, size=n)):
+        row = np.eye(n)[i:i + 1]
+        cons += [(row, np.array([-w[i] - c])), (-row, np.array([w[i] - c]))]
+    for size in con_sizes:
+        a = rng.normal(size=(size, n))
+        b = rng.normal(size=size)
+        cons.append((a, b - logsumexp_bundle(a, b, w)[0] - rng.uniform(0.2, 3.0)))
+    obj = (rng.normal(size=(obj_rows, n)), rng.normal(size=obj_rows))
+    problem = lse_problem(tuple(f"v{i}" for i in range(n)), *obj, cons)
+    return problem, w, obj, cons
+
+
+def lse_fd_gradient(a, b, y, h=1e-6):
+    """Central-difference gradient of lse(a y + b) from its values."""
+    grad = np.empty(len(y))
+    for i in range(len(y)):
+        step = np.zeros(len(y))
+        step[i] = h
+        grad[i] = (logsumexp_bundle(a, b, y + step)[0]
+                   - logsumexp_bundle(a, b, y - step)[0]) / (2 * h)
+    return grad
+
+
+class TestKkt:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           obj_rows=st.integers(1, 6),
+           con_sizes=st.lists(st.integers(1, 5), max_size=6))
+    def test_optimum_satisfies_kkt(self, seed, n, obj_rows, con_sizes):
+        """At res.y, the multipliers lambda_s = 1/(t (-f_s)) of the last
+        centering's t are nonnegative, the point is primal feasible, the
+        complementary slackness sum is the certified gap m/t, and
+        grad f0 + sum_s lambda_s grad f_s vanishes.
+
+        The tolerance on stationarity is the Newton decrement at which the
+        last centering stops, max(NEWTON_TOL, sqrt(32 eps |phi|)) with phi
+        the barrier value, times a bound on the gradients' size: an LSE
+        gradient is a convex combination of its exponent rows."""
+        problem, w, obj, cons = witness_gp(seed, n, obj_rows, con_sizes)
+        res = solve(problem, y0=w)
+        assert res.status == OPTIMAL
+        t = res.path[-1][0]
+        f = np.array([logsumexp_bundle(a, b, res.y)[0] for a, b in cons])
+        assert f.max() < 0
+        lam = 1.0 / (t * -f)
+        assert lam.min() >= 0
+        assert (lam * -f).sum() == pytest.approx(res.certified_gap, rel=1e-12)
+
+        residual = lse_fd_gradient(*obj, res.y) + sum(
+            l * lse_fd_gradient(a, b, res.y) for l, (a, b) in zip(lam, cons))
+        scale = np.abs(obj[0]).max() + sum(
+            l * np.abs(a).max() for l, (a, _) in zip(lam, cons))
+        phi = t * logsumexp_bundle(*obj, res.y)[0] - np.log(-f).sum()
+        decrement = max(gp.NEWTON_TOL, np.sqrt(32 * np.finfo(float).eps * abs(phi)))
+        assert np.abs(residual).max() <= decrement * scale
+
+
 def allocate_solves(monkeypatch, seed, jd):
     """(problem, y0, warm_path, result) of every GP solve inside allocate
     at the given scenario, in call order."""
@@ -400,7 +451,7 @@ class TestWarmStart:
             assert abs(np.log(warm.objective_value / cold.objective_value)) \
                 <= cold.certified_gap
             assert warm.newton_steps_used <= cold.newton_steps_used
-            assert [t for t, _ in cold.path] == \
+            assert [t for t, _, _, _ in cold.path] == \
                 [gp.INITIAL_T * gp.BARRIER_MU ** i for i in range(len(cold.path))]
             starts.append(warm.path[0][0])
         # the warm start was taken, not only offered
@@ -430,7 +481,7 @@ class TestWarmStart:
         np.testing.assert_array_equal(res.y, cold.y)
         assert res.objective_value == cold.objective_value
         assert res.certified_gap == cold.certified_gap
-        assert [t for t, _ in res.path] == [t for t, _ in cold.path]
+        assert [t for t, _, _, _ in res.path] == [t for t, _, _, _ in cold.path]
         assert res.newton_steps_used == cold.newton_steps_used + centerings[0][1]
 
     def test_unusable_path_runs_cold(self, monkeypatch):
