@@ -7,7 +7,8 @@ module as a script to write them all again, or only the ones named:
     PYTHONPATH=src python tests/test_golden.py
     PYTHONPATH=src python tests/test_golden.py solver_trace_seed0.csv newton_steps.json
 
-Feasibility flags, random-baseline draw counts and random-allocation rates
+Feasibility flags, random-baseline draw counts, random-allocation rates
+and every column of the bound-validation CSV (eigenvalues and capacities)
 must match exactly, proposed rates to 1e-9 bits and powers to a relative
 1e-6.  The per-pass GP solver traces must match exactly in their outer
 iteration, barrier weight and gap, and to 1e-9 in the log objective; the
@@ -55,6 +56,7 @@ from scma_d2d.channel import (
 from scma_d2d.experiments import (
     ExperimentSpec,
     run_baseline_comparison,
+    run_bound_validation,
     run_convergence,
     run_sweep,
 )
@@ -74,11 +76,14 @@ OBJECTIVE_TOL = 1e-9
 EXACT_COLUMNS = {"seed", "iteration", "converged", "feasible", "sweep_dbm",
                  "random_bits", "mean_sum_rate_random",
                  "num_infeasible_draws", "num_seeds_used",
-                 "jd", "pass", "outer_iteration", "t", "gap"}
+                 "jd", "pass", "outer_iteration", "t", "gap",
+                 "k", "lower", "exact_eig", "upper", "exact_capacity_bits",
+                 "capacity_upper_bits"}
 RATE_COLUMNS = {"proposed_bits", "sum_rate_bits", "mean_sum_rate_proposed"}
 
 CSV_FILES = ("compare_jd2.csv", "sweep_cell_jd1.csv", "sweep_cell_jd1_summary.csv",
-             "convergence_jd1.csv", "convergence_jd2.csv", "solver_trace_seed0.csv")
+             "convergence_jd1.csv", "convergence_jd2.csv", "solver_trace_seed0.csv",
+             "bounds_jd1.csv")
 DRAWS_FILE = "baseline_draws_jd2.json"
 START_FILE = "feasible_start_jd4.json"
 PRODUCTS_FILE = "products_seed0.json"
@@ -107,6 +112,12 @@ def _record_convergence(out_dir):
         run_convergence(ExperimentSpec(
             "convergence", ScenarioConfig(J_D=jd, seed=0),
             str(out_dir / f"convergence_jd{jd}.csv"), num_seeds=3))
+
+
+def _record_bounds(out_dir):
+    run_bound_validation(ExperimentSpec(
+        "bound_validation", ScenarioConfig(J_D=1, seed=0),
+        str(out_dir / "bounds_jd1.csv"), num_seeds=5))
 
 
 def _record_draws(out_dir):
@@ -230,6 +241,7 @@ RECORDERS = (
     (("compare_jd2.csv",), _record_compare),
     (("sweep_cell_jd1.csv", "sweep_cell_jd1_summary.csv"), _record_sweep),
     (("convergence_jd1.csv", "convergence_jd2.csv"), _record_convergence),
+    (("bounds_jd1.csv",), _record_bounds),
     ((DRAWS_FILE,), _record_draws),
     (("solver_trace_seed0.csv",), _record_solver_traces),
     ((START_FILE,), _record_feasible_starts),
