@@ -26,7 +26,6 @@ from .allocation import (
     P2Problem,
     allocate,
     build_p2,
-    expand_denominator,
     initial_allocation,
     random_baseline,
     sum_rate,
@@ -60,11 +59,10 @@ from .channel import (
     rng_streams,
     sample_channels,
     sample_geometry,
-    sample_scenario,
     save_config,
     watts_to_dbm,
 )
-from .eig import hermitian_eigenvalues, hermitian_eigh
+from .eig import hermitian_eigenvalues
 from .experiments import (
     ExperimentSpec,
     SweepResult,
@@ -88,7 +86,6 @@ from .factor_graph import (
 from .gp import (
     SolverResult,
     find_feasible,
-    objective_gradient_hessian,
     solve,
 )
 from .posynomial import (

@@ -16,6 +16,7 @@ the per-pair D2D powers]; all values are watts.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,11 +193,6 @@ def build_p2(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     )
 
 
-def expand_denominator(p2: P2Problem) -> Posynomial:
-    """Full product of the denominator factors (merged term list)."""
-    return product(p2.denominator_factors)
-
-
 def sum_rate(ch: ChannelRealization, graph: FactorGraph, occupancy,
              alloc: PowerAllocation) -> float:
     """System sum rate in bits/s/Hz: cellular closed form plus D2D rates."""
@@ -270,11 +266,14 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
              occupancy, t_max: int = 10) -> IterationTrace:
     """Run the iterative condensation loop from the half-cap start.
 
-    Each pass condenses the expanded denominator at the current powers,
-    solves the resulting GP under the original constraints, and moves to
-    its optimum; stops after t_max passes (at least 1) or once the
-    relative sum-rate change drops to REL_TOL.  Every pass after the
-    first warm-starts its solve from the previous pass's central path.
+    Each pass condenses the expanded denominator at the current powers
+    into a monomial m, solves the GP of numerator / m under the original
+    constraints, and moves to its optimum.  In log form, dividing by m
+    shifts every objective row by m's exponents and log coefficient, so
+    the numerator and the constraints are converted once per draw.  The
+    loop stops after t_max passes (at least 1) or once the relative
+    sum-rate change drops to REL_TOL.  Every pass after the first
+    warm-starts its solve from the previous pass's central path.
     The solver certifies each pass to its gap of gp.DUALITY_GAP_TOL =
     1e-9, well inside the ASCENT_TOL_BITS = 1e-8 monotonicity budget; a
     pass that breaks either raises AllocationSolverError.  Each point
@@ -283,8 +282,9 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
     p2 = build_p2(cfg, ch, graph, occupancy)
-    numerator = product(p2.numerator_factors)
-    denominator = expand_denominator(p2)
+    problem = to_convex_form(product(p2.numerator_factors),
+                             constraints=p2.constraints)
+    denominator = product(p2.denominator_factors)
 
     x = feasible_start(cfg, graph, p2)
     shape = (cfg.J, cfg.K)
@@ -295,9 +295,11 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     y = np.log(x)
     path = None
     for it in range(t_max):
-        surrogate = numerator.divide_by_monomial(condense(denominator, x))
-        res = solve(to_convex_form(surrogate, constraints=p2.constraints), y0=y,
-                    warm_path=path)
+        m = condense(denominator, x)
+        surrogate = dataclasses.replace(
+            problem, objective_exponents=problem.objective_exponents - m.exponents,
+            objective_offsets=problem.objective_offsets - np.log(m.coefficient))
+        res = solve(surrogate, y0=y, warm_path=path)
         if res.status != OPTIMAL:
             raise AllocationSolverError(f"pass {it + 1}: GP solve returned "
                                         f"{res.status}", res)

@@ -261,13 +261,6 @@ def sample_channels(cfg: ScenarioConfig, geo: NodeGeometry,
     )
 
 
-def sample_scenario(cfg: ScenarioConfig, streams: RngStreams | None = None):
-    """Geometry plus channels from the config's seed (or given streams)."""
-    streams = streams or rng_streams(cfg.seed)
-    geo = sample_geometry(cfg, streams.geometry)
-    return geo, sample_channels(cfg, geo, streams.fading)
-
-
 def dump_channels_csv(ch: ChannelRealization, path) -> None:
     """One row per link (0-based indices): type,index1,index2,real,imag."""
     with open(path, "w") as fh:

@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment harness.
 
 Subcommands: convergence, sweep-cell, sweep-d2d, bounds, compare.
-Exit codes: 0 success, 2 configuration error, 3 every seed infeasible.
+Exit codes: 0 success, 2 configuration error, 3 every seed infeasible,
+4 a GP solve inside the power allocator failed its runtime checks.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 
+from .allocation import AllocationSolverError
 from .channel import ConfigError, ScenarioConfig, parse_config
 from .experiments import (
     DEFAULT_SWEEP_DBM,
@@ -101,7 +103,11 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    result = run_experiment(spec)
+    try:
+        result = run_experiment(spec)
+    except AllocationSolverError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 4
     _report(kind, result)
     if result.all_infeasible:
         print("error: every seed produced an infeasible scenario", file=sys.stderr)

@@ -3,10 +3,9 @@
 A Hermitian Q = A + iB (A symmetric, B antisymmetric) is embedded as the
 real symmetric 2n x 2n matrix [[A, -B], [B, A]], whose spectrum is that of
 Q with every eigenvalue doubled; classic two-sided Jacobi rotations then
-drive the off-diagonal mass to zero.  A real eigenvector (u; v) of the
-embedding maps back to the complex eigenvector u + iv.  Matrices in this
-package are tiny (K <= 8), where Jacobi's simplicity and unconditional
-convergence beat any fancier scheme.
+drive the off-diagonal mass to zero.  Matrices in this package are tiny
+(K <= 8), where Jacobi's simplicity and unconditional convergence beat any
+fancier scheme.
 """
 
 from __future__ import annotations
@@ -29,20 +28,19 @@ def _rotate_rows(m, p, q, c, s):
     m[q] = s * row_p + c * m[q]
 
 
-def jacobi_eigh_symmetric(a, off_diag_rel_tol=1e-12, max_sweeps=60):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
+def jacobi_eigenvalues(a, off_diag_rel_tol=1e-12, max_sweeps=60):
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, ascending.
 
     Sweeps rotate every (p, q) pair whose magnitude exceeds
     off_diag_rel_tol times the Frobenius norm of the input, until none
-    does.  Returns (eigenvalues ascending, eigenvectors as columns).
+    does.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    v = np.eye(n)
     if n == 1:
-        return a.reshape(1).copy(), v
+        return a.reshape(1).copy()
     thresh = off_diag_rel_tol * np.linalg.norm(a)
     for _ in range(max_sweeps):
         off = np.abs(a - np.diag(np.diag(a))).max()
@@ -61,13 +59,10 @@ def jacobi_eigh_symmetric(a, off_diag_rel_tol=1e-12, max_sweeps=60):
                 s = t * c
                 _rotate_rows(a, p, q, c, s)     # rows of a
                 _rotate_rows(a.T, p, q, c, s)   # columns of a
-                _rotate_rows(v.T, p, q, c, s)   # columns of v
                 a[p, q] = a[q, p] = 0.0
     else:
         raise JacobiConvergenceError(f"no convergence in {max_sweeps} sweeps")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.sort(np.diag(a), kind="stable")
 
 
 def _check_hermitian(q):
@@ -78,22 +73,11 @@ def _check_hermitian(q):
     scale = np.linalg.norm(q)
     if np.linalg.norm(q - q.conj().T) > 1e-10 * max(scale, 1e-300):
         raise NonHermitianError("matrix is not Hermitian within 1e-10 relative")
-    return q, n
-
-
-def hermitian_eigh(q):
-    """(eigenvalues ascending, complex eigenvector columns) of Hermitian q."""
-    q, n = _check_hermitian(q)
-    a, b = q.real.copy(), q.imag.copy()
-    embedded = np.block([[a, -b], [b, a]])
-    w2, v2 = jacobi_eigh_symmetric(embedded)
-    w = w2[0::2]
-    cols = v2[:, 0::2]
-    vectors = cols[:n, :] + 1j * cols[n:, :]
-    return w, vectors
+    return q
 
 
 def hermitian_eigenvalues(q):
     """Real eigenvalues of a Hermitian matrix in nondecreasing order."""
-    w, _ = hermitian_eigh(q)
-    return w
+    q = _check_hermitian(q)
+    a, b = q.real, q.imag
+    return jacobi_eigenvalues(np.block([[a, -b], [b, a]]))[0::2]

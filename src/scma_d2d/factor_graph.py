@@ -12,6 +12,7 @@ user's transmit covariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -98,7 +99,7 @@ def build_factor_graph(K: int, J: int, N: int) -> FactorGraph:
         raise DimensionError(f"N = {N} exceeds K = {K}")
     if (J * N) % K != 0:
         raise DimensionError(f"J*N = {J * N} not divisible by K = {K}")
-    if J > _binomial(K, N):
+    if J > math.comb(K, N):
         raise DimensionError(f"need {J} distinct columns, only C({K},{N}) available")
     ind = np.zeros((K, J), dtype=int)
     for j, subset in enumerate(combinations(range(K), N)):
@@ -106,11 +107,6 @@ def build_factor_graph(K: int, J: int, N: int) -> FactorGraph:
             break
         ind[list(subset), j] = 1
     return FactorGraph(ind, K=K, J=J, N=N)
-
-
-def _binomial(n, k):
-    import math
-    return math.comb(n, k)
 
 
 def incidence_sets(graph: FactorGraph) -> IncidenceSets:

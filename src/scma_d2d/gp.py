@@ -75,12 +75,6 @@ def logsumexp_bundle(exponents, offsets, y):
     return float(m + np.log(s)), g, hess
 
 
-def objective_gradient_hessian(problem: ConvexFormProblem, y):
-    """Value, gradient and Hessian of the convex-form objective at y."""
-    y = np.asarray(y, dtype=float)
-    return logsumexp_bundle(problem.objective_exponents, problem.objective_offsets, y)
-
-
 class PackedConstraints:
     """Several LSEs stacked for vectorized evaluation: block s holds rows
     starts[s] up to the next start.  At least one block is required."""
@@ -145,13 +139,6 @@ class _Barrier:
     def phi(vals, t):
         """The barrier value from the per-block LSE values [f0, f_1, ...]."""
         return t * vals[0] - np.log(-vals[1:]).sum()
-
-    def value(self, y, t):
-        """(phi(y), f0(y)), or None when y is outside the domain."""
-        point = self.evaluate(y)
-        if point is None:
-            return None
-        return self.phi(point[0], t), point[0][0]
 
     def bundle(self, y, t, point=None):
         """(phi, gradient, Hessian, f0) at y; point, when given, is

@@ -163,12 +163,6 @@ class Posynomial:
 
     __rmul__ = __mul__
 
-    def divide_by_monomial(self, m: Monomial) -> "Posynomial":
-        _check_registry(self.registry, m.registry)
-        return Posynomial(self.registry,
-                          self.coefficients / m.coefficient,
-                          self.exponents - m.exponents)
-
     def format_lines(self):
         """Human-readable dump, one "c * x^a * ..." line per term."""
         lines = []

@@ -29,7 +29,7 @@ from scma_d2d.experiments import (
     run_bound_validation,
     run_sweep,
 )
-from scma_d2d.gp import OPTIMAL, logsumexp_bundle, objective_gradient_hessian, solve
+from scma_d2d.gp import OPTIMAL, logsumexp_bundle, solve
 from scma_d2d.posynomial import Monomial, Posynomial, condense, to_convex_form
 
 N_SWEEP_SEEDS = 50
@@ -338,7 +338,8 @@ class TestGpSolver:
                     tuple(f"v{i}" for i in range(n)),
                     np.exp(b), A))
                 y = rng.normal(size=n)
-                val, grad, hess = objective_gradient_hessian(p, y)
+                val, grad, hess = logsumexp_bundle(p.objective_exponents,
+                                                   p.objective_offsets, y)
 
                 def f(point):
                     return logsumexp_bundle(A, b, point)[0]

@@ -14,7 +14,6 @@ from scma_d2d.allocation import (
     InfeasibleScenarioError,
     allocate,
     build_p2,
-    expand_denominator,
     feasible_start,
     initial_allocation,
     objective_sum_rate,
@@ -30,8 +29,8 @@ from scma_d2d.capacity import PowerAllocation, cellular_sinr, d2d_sinr, equivale
 from scma_d2d.channel import ChannelRealization, ScenarioConfig
 from scma_d2d.experiments import ExperimentSpec, run_convergence
 from scma_d2d.factor_graph import build_factor_graph
-from scma_d2d.gp import DUALITY_GAP_TOL
-from scma_d2d.posynomial import condense, product
+from scma_d2d.gp import DUALITY_GAP_TOL, logsumexp_bundle
+from scma_d2d.posynomial import condense, product, to_convex_form
 
 
 def constraint_values(p2, x):
@@ -96,7 +95,7 @@ class TestExpandDenominator:
     def test_term_count_and_homomorphism(self):
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         p2 = build_p2(cfg, ch, graph, occ)
-        expanded = expand_denominator(p2)
+        expanded = product(p2.denominator_factors)
         bound = int(np.prod([len(f) for f in p2.denominator_factors]))
         assert len(expanded) <= bound
         rng = np.random.default_rng(3)
@@ -287,6 +286,58 @@ class TestRuntimeInvariants:
             monkeypatch, lambda res, _: dataclasses.replace(res, status="max_iterations"))
         assert "max_iterations" in str(err)
         assert err.result is returned[0]
+
+
+class TestPassProblem:
+    """Each pass solves numerator / m in convex form, m being the
+    denominator condensed at the pass's start: the constraints are those
+    of P2 unchanged, and the objective's LSE is log prod f - log m."""
+
+    @pytest.mark.parametrize("jd", [1, 2, 4])
+    def test_pass_objective_is_shifted_numerator(self, monkeypatch, jd):
+        original = allocation.solve
+        passes = []
+
+        def recording(problem, y0, **kwargs):
+            passes.append((problem, y0))
+            return original(problem, y0, **kwargs)
+
+        monkeypatch.setattr(allocation, "solve", recording)
+        rng = np.random.default_rng(jd)
+        checked = 0
+        for seed in range(3):
+            cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd)
+            p2 = build_p2(cfg, ch, graph, occ)
+            passes.clear()
+            try:
+                allocate(cfg, ch, graph, occ)
+            except InfeasibleScenarioError:
+                assert not passes
+                continue
+            assert passes
+            want = to_convex_form(product(p2.numerator_factors),
+                                  constraints=p2.constraints)
+            denominator = product(p2.denominator_factors)
+            for problem, y0 in passes:
+                assert problem.registry == want.registry
+                assert problem.n_inequalities == want.n_inequalities
+                for got_a, want_a in zip(problem.constraint_exponents,
+                                         want.constraint_exponents):
+                    np.testing.assert_array_equal(got_a, want_a)
+                for got_b, want_b in zip(problem.constraint_offsets,
+                                         want.constraint_offsets):
+                    np.testing.assert_array_equal(got_b, want_b)
+                m = condense(denominator, np.exp(y0))
+                for _ in range(5):
+                    y = y0 + rng.uniform(-1.0, 1.0, size=len(y0))
+                    lse = logsumexp_bundle(problem.objective_exponents,
+                                           problem.objective_offsets, y)[0]
+                    log_num = sum(np.log(f.evaluate(np.exp(y)))
+                                  for f in p2.numerator_factors)
+                    log_m = np.log(m.coefficient) + m.exponents @ y
+                    assert lse == pytest.approx(log_num - log_m, rel=1e-12)
+                checked += 1
+        assert checked > 0
 
 
 class TestExtremeChannelScales:

@@ -1,11 +1,12 @@
 """Tests for the experiment harness and the command-line interface."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scma_d2d import experiments
+from scma_d2d import allocation, experiments
 from scma_d2d.channel import ScenarioConfig
 from scma_d2d.cli import main
 from scma_d2d.experiments import (
@@ -232,6 +233,20 @@ class TestCli:
                      "--out", str(tmp_path / "c.csv")])
         assert code == 3
         assert "infeasible" in capsys.readouterr().err
+
+    def test_solver_failure_exits_four(self, tmp_path, capsys, monkeypatch):
+        """A pass whose GP solve does not reach optimal status ends the run
+        with exit code 4 and a one-line error, not a traceback."""
+        original = allocation.solve
+        monkeypatch.setattr(allocation, "solve", lambda *args, **kwargs:
+                            dataclasses.replace(original(*args, **kwargs),
+                                                status="max_iterations"))
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--seeds", "1", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: pass 1")
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
