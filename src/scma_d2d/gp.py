@@ -107,15 +107,32 @@ class PackedConstraints:
         return self.shifted_exp(y)[0]
 
 
+class _Point:
+    """The barrier's arrays at one y: per-block LSE values, exp(z - block
+    max) per row and per-block sums of those exps.  None of them depends
+    on t, and neither do the derivative parts _Barrier.parts computes
+    from them, so those are kept here once computed: a second bundle at
+    the same y (a new t at a centering boundary, or the warm-start pick
+    that _center starts from) builds no Hessian again."""
+
+    __slots__ = ("vals", "e", "sums", "parts")
+
+    def __init__(self, vals, e, sums):
+        self.vals, self.e, self.sums = vals, e, sums
+        self.parts = None
+
+
 class _Barrier:
     """Centering objective t*f0(y) - sum_s log(-f_s(y)).
 
     The objective's rows are packed in front of the constraints' as block
     0, so one matmul, one exp and one reduceat serve f0 and every f_s.
-    With scale = [t, u] and u = -1/f_s, the gradient is G^T scale and the
-    Hessian is A^T diag(w scale[block]) A + G^T diag(d) G with
-    d = [-t, u^2 - u], where w are the per-block softmax weights and row s
-    of G is block s's LSE gradient.
+    With u = -1/f_s, row s of G the LSE gradient of block s and g0 its
+    row 0, the gradient is t*g0 + G_con^T u and the Hessian is
+    t*H_obj + H_con, where H_obj = A0^T diag(w0) A0 - g0 g0^T is the
+    objective's LSE Hessian and H_con = A_con^T diag(w u[block]) A_con +
+    G_con^T diag(u^2 - u) G_con, w being the per-block softmax weights.
+    g0, G_con^T u, H_obj and H_con do not depend on t.
     """
 
     def __init__(self, obj_exponents, obj_offsets, con_exponents, con_offsets):
@@ -124,61 +141,71 @@ class _Barrier:
         head = self.packed.head
         self.a0 = self.packed.A[:head]
         self.a_con = self.packed.A[head:]
+        # C-contiguous transposes: scaling their columns by row weights and
+        # multiplying by A is cheaper than the same product on A.T
+        self.a0_t = np.ascontiguousarray(self.a0.T)
+        self.a_con_t = np.ascontiguousarray(self.a_con.T)
         self.con_starts = self.packed.starts[1:] - head
+        self.con_block = self.packed.tail_seg - 1   # constraint index per row
 
     def evaluate(self, y):
-        """packed.shifted_exp(y), or None when y is outside the domain
-        (some f_s >= 0).  The arrays do not depend on t, so one
-        evaluation serves the line search and every later bundle at y."""
-        point = self.packed.shifted_exp(y)
-        if point[0][1:].max(initial=-np.inf) >= 0:
+        """A _Point at y, or None when y is outside the domain (some
+        f_s >= 0).  One evaluation serves the line search and every
+        later bundle at y."""
+        vals, e, sums = self.packed.shifted_exp(y)
+        if vals[1:].max(initial=-np.inf) >= 0:
             return None
-        return point
+        return _Point(vals, e, sums)
 
     @staticmethod
     def phi(vals, t):
         """The barrier value from the per-block LSE values [f0, f_1, ...]."""
         return t * vals[0] - np.log(-vals[1:]).sum()
 
+    def parts(self, point):
+        """(g0, G_con^T u, H_obj, H_con) at point."""
+        vals, e, sums = point.vals, point.e, point.sums
+        head = self.packed.head
+        u = -1.0 / vals[1:]
+        # block 0's gradient is one gemv over its (possibly thousands of)
+        # rows; the small constraint blocks share one reduceat
+        g0 = self.a0_t @ e[:head] / sums[0]
+        g_con = np.add.reduceat(self.a_con * e[head:, None], self.con_starts, axis=0)
+        g_con /= sums[1:, None]
+        c_con = e[head:] * (u / sums[1:])[self.con_block]
+        h_obj = (self.a0_t * (e[:head] / sums[0])) @ self.a0 - np.outer(g0, g0)
+        h_con = (self.a_con_t * c_con) @ self.a_con + (g_con.T * (u * u - u)) @ g_con
+        return g0, g_con.T @ u, h_obj, h_con
+
     def bundle(self, y, t, point=None):
         """(phi, gradient, Hessian, f0) at y; point, when given, is
-        evaluate(y) and is used instead of evaluating again."""
+        evaluate(y) and is used instead of evaluating again.  The
+        Hessian is a new array, so the caller may change it."""
         if point is None:
             point = self.evaluate(y)
             if point is None:
                 raise FloatingPointError("barrier evaluated outside the domain")
-        vals, e, sums = point
-        u = -1.0 / vals[1:]
-        scale = np.concatenate(([t], u))
-        head = self.packed.head
-        # block 0's gradient is one gemv over its (possibly thousands of)
-        # rows; the small constraint blocks share one reduceat
-        grads = np.empty((len(vals), len(y)))
-        grads[0] = self.a0.T @ e[:head]
-        grads[1:] = np.add.reduceat(self.a_con * e[head:, None],
-                                    self.con_starts, axis=0)
-        grads /= sums[:, None]
-        coef = scale / sums
-        c = np.empty_like(e)
-        c[:head] = e[:head] * coef[0]
-        c[head:] = e[head:] * coef[self.packed.tail_seg]
-        d = np.concatenate(([-t], u * u - u))
-        hess = (self.packed.A.T * c) @ self.packed.A + (grads.T * d) @ grads
-        return self.phi(vals, t), grads.T @ scale, hess, vals[0]
+        if point.parts is None:
+            point.parts = self.parts(point)
+        g0, gu, h_obj, h_con = point.parts
+        return self.phi(point.vals, t), t * g0 + gu, t * h_obj + h_con, point.vals[0]
 
 
 def _regularized_newton_step(hess, grad):
     """Solve hess d = -grad.  A Cholesky factorization checks positive
     definiteness; while it fails, 1e-12*trace(H) (escalating tenfold) is
-    put on the diagonal of hess, in place."""
-    diagonal = hess.diagonal().copy()
-    reg = 0.0
-    base = 1e-12 * max(np.trace(hess), 1.0)
+    put on the diagonal of hess, in place.  The diagonal and the trace are
+    read at the first failure, before hess changes."""
+    diagonal = None
     for _ in range(60):
         try:
             np.linalg.cholesky(hess)
         except np.linalg.LinAlgError:
-            reg = base if reg == 0.0 else reg * 10.0
+            if diagonal is None:
+                diagonal = hess.diagonal().copy()
+                reg = 1e-12 * max(np.trace(hess), 1.0)
+            else:
+                reg *= 10.0
             hess.flat[::len(grad) + 1] = diagonal + reg
             continue
         return np.linalg.solve(hess, -grad)
@@ -218,7 +245,7 @@ def _center(barrier, y, point, t, callback=None):
             cand = y + alpha * delta
             cand_point = barrier.evaluate(cand)
             if cand_point is not None:
-                cand_val = barrier.phi(cand_point[0], t)
+                cand_val = barrier.phi(cand_point.vals, t)
                 if cand_val <= val + LINE_SEARCH_SLOPE * alpha * descent:
                     accepted = cand
                     break
@@ -248,7 +275,7 @@ def _central_path(barrier, y, point, t, callback=None):
     while True:
         y, point, centered, steps = _center(barrier, y, point, t, callback)
         total_steps += steps
-        rows.append((t, y, point[0][0], m / t))
+        rows.append((t, y, point.vals[0], m / t))
         if callback is not None and callback(y):
             return OPTIMAL, total_steps, rows
         if not centered:

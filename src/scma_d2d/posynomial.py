@@ -10,7 +10,9 @@ and condensation run in log space so that physically tiny coefficients
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +42,12 @@ def _as_exponents(registry, exponents):
     return a
 
 
-def _log_values(coefficients, exponents, x):
+def _log_values(log_coefficients, exponents, x):
     """log of each term c * prod(x**a), for strictly positive x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise ValueError("arguments must be strictly positive and finite")
-    return np.log(coefficients) + exponents @ np.log(x)
+    return log_coefficients + exponents @ np.log(x)
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class Monomial:
         return cls(coefficient, a, registry)
 
     def evaluate(self, x) -> float:
-        return float(np.exp(_log_values(self.coefficient, self.exponents[None, :], x)[0]))
+        return float(np.exp(_log_values(np.log(self.coefficient),
+                                        self.exponents[None, :], x)[0]))
 
     def as_posynomial(self) -> "Posynomial":
         return Posynomial(self.registry, [self.coefficient], self.exponents[None, :])
@@ -141,8 +144,15 @@ class Posynomial:
     def __len__(self):
         return len(self.coefficients)
 
+    @cached_property
+    def log_coefficients(self):
+        """log of each coefficient, computed once per posynomial."""
+        logs = np.log(self.coefficients)
+        logs.flags.writeable = False
+        return logs
+
     def log_term_values(self, x):
-        return _log_values(self.coefficients, self.exponents, x)
+        return _log_values(self.log_coefficients, self.exponents, x)
 
     def evaluate(self, x) -> float:
         """Value at a strictly positive point (overflow/underflow safe)."""
@@ -178,6 +188,38 @@ class Posynomial:
         return " + ".join(self.format_lines())
 
 
+# integers below this magnitude are their own rounding to MERGE_DECIMALS:
+# x * 10**12 is exact (5**12 * 2**25 < 2**53), so np.round returns x
+_ROUND_EXACT = 2.0 ** 25
+_CHECK_ROWS = 1 << 12   # rows per slice of _radix_codes' integer check
+
+
+def _radix_codes(exponents):
+    """One float per row that orders the rows as they order
+    lexicographically, and is equal exactly when the rows are equal; None
+    unless every entry is an integer below _ROUND_EXACT in magnitude and
+    the codes are exact.
+
+    With lo and hi the smallest and largest entry, the code is the row
+    read as a number in base hi - lo + 1.  It is taken as exponents @ radix
+    without subtracting lo (that only shifts every code by one constant),
+    so every partial sum is an integer below 2**53 and no summation order
+    can round it.  -0.0 and 0.0 give the same code."""
+    lo, hi = exponents.min(), exponents.max()
+    top, base = max(-lo, hi), hi - lo + 1.0
+    # the bound in Python integers, which cannot overflow
+    if not (top < _ROUND_EXACT
+            and math.ceil(top) * math.ceil(base) ** exponents.shape[1] < 2 ** 53):
+        return None
+    # checked a slice at a time: a full-size temporary would add a copy of
+    # the largest product's exponents to the peak memory
+    for i in range(0, len(exponents), _CHECK_ROWS):
+        part = exponents[i:i + _CHECK_ROWS]
+        if not np.array_equal(part, np.rint(part)):
+            return None
+    return exponents @ base ** np.arange(exponents.shape[1] - 1.0, -1.0, -1.0)
+
+
 def _merge_terms(coefficients, exponents):
     """Sum coefficients of terms whose exponent vectors coincide.
 
@@ -185,18 +227,29 @@ def _merge_terms(coefficients, exponents):
     turns -0.0 into 0.0, so a stored row does not depend on which copy of
     a zero came first.  The rows come back in lexicographic order, and the
     stable sort keeps each group's terms in input order, so merged
-    coefficients are summed in input order.
+    coefficients are summed in input order.  Rows of small integers
+    (every product the allocator builds) need no rounding and sort by one
+    code per row; other rows are rounded and sorted by np.lexsort, which
+    gives the same order.
     """
-    keys = np.round(exponents, MERGE_DECIMALS) + 0.0
-    order = np.lexsort(keys.T[::-1])
-    keys, coefficients = keys[order], coefficients[order]
-    start = np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))
+    codes = _radix_codes(exponents)
+    if codes is not None:
+        order = np.argsort(codes, kind="stable")
+        ordered = codes[order]
+        start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        rows = exponents[order[start]] + 0.0
+    else:
+        keys = np.round(exponents, MERGE_DECIMALS)
+        keys += 0.0
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        start = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
+        rows = ordered[start]
     group = np.cumsum(start) - 1
-    merged = np.zeros(group[-1] + 1)
-    # np.add.at adds one term at a time; np.add.reduceat would sum long
-    # groups pairwise and change the last bits
-    np.add.at(merged, group, coefficients)
-    return merged, keys[start]
+    # bincount adds one term at a time, in order; np.add.reduceat would
+    # sum long groups pairwise and change the last bits
+    merged = np.bincount(group, weights=coefficients[order])
+    return merged, rows
 
 
 def multiply(p: Posynomial, q: Posynomial) -> Posynomial:
@@ -221,19 +274,18 @@ def condense(g: Posynomial, x0) -> Monomial:
     Weights are beta_l = u_l(x0) / g(x0) (the weighted AM-GM equality
     choice), giving gtilde = prod (u_l / beta_l)^beta_l with
     gtilde(x) <= g(x) everywhere and equality, in value and gradient,
-    at x = x0.  Computed via softmax in log space; terms whose weight
-    underflows to zero contribute the limit factor 1 and are dropped.
+    at x = x0.  Computed via softmax in log space; a term whose weight
+    underflows to zero contributes the limit factor 1: its log weight
+    stays finite, so it adds 0 to both weighted sums.
     """
     logs = g.log_term_values(x0)
     m = logs.max()
     w = np.exp(logs - m)
-    beta = w / w.sum()
-    keep = beta > 0
-    beta = beta[keep]
-    log_beta = logs[keep] - m - np.log(w.sum())
-    log_coeff = float(beta @ (np.log(g.coefficients[keep]) - log_beta))
-    exponents = beta @ g.exponents[keep]
-    return Monomial(np.exp(log_coeff), exponents, g.registry)
+    total = w.sum()
+    beta = w / total
+    log_beta = logs - m - np.log(total)
+    log_coeff = float(beta @ (g.log_coefficients - log_beta))
+    return Monomial(np.exp(log_coeff), beta @ g.exponents, g.registry)
 
 
 @dataclass
@@ -267,11 +319,11 @@ def to_convex_form(objective: Posynomial, constraints=()) -> ConvexFormProblem:
     for g in constraints:
         _check_registry(reg, g.registry)
         cons_a.append(g.exponents.copy())
-        cons_b.append(np.log(g.coefficients))
+        cons_b.append(g.log_coefficients.copy())
     return ConvexFormProblem(
         registry=reg,
         objective_exponents=objective.exponents.copy(),
-        objective_offsets=np.log(objective.coefficients),
+        objective_offsets=objective.log_coefficients.copy(),
         constraint_exponents=cons_a,
         constraint_offsets=cons_b,
     )

@@ -188,7 +188,7 @@ class TestPackedBarrier:
         want_f0 = logsumexp_bundle(*obj, y)[0]
         assert f0 == pytest.approx(want_f0, rel=1e-12, abs=1e-12)
         assert phi == pytest.approx(want_phi, rel=1e-12, abs=1e-12)
-        assert barrier.phi(barrier.evaluate(y)[0], t) == pytest.approx(
+        assert barrier.phi(barrier.evaluate(y).vals, t) == pytest.approx(
             phi, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10 * scale)
         np.testing.assert_allclose(hess, want_hess, rtol=1e-10, atol=1e-10 * scale)
@@ -199,8 +199,8 @@ class TestPackedBarrier:
         for i in range(n):
             step = np.zeros(n)
             step[i] = h
-            fd_grad[i] = (barrier.phi(barrier.evaluate(y + step)[0], t)
-                          - barrier.phi(barrier.evaluate(y - step)[0], t)) / (2 * h)
+            fd_grad[i] = (barrier.phi(barrier.evaluate(y + step).vals, t)
+                          - barrier.phi(barrier.evaluate(y - step).vals, t)) / (2 * h)
             fd_hess[:, i] = (barrier.bundle(y + step, t)[1]
                              - barrier.bundle(y - step, t)[1]) / (2 * h)
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-5 * scale)
@@ -214,6 +214,95 @@ class TestPackedBarrier:
         assert barrier.evaluate(far) is None
         with pytest.raises(FloatingPointError):
             barrier.bundle(far, 1.0)
+
+
+class TestPointReuse:
+    @pytest.mark.parametrize("obj_rows, con_sizes", [(4096, [1, 3, 1, 5]), (7, []),
+                                                     (2, [2, 1])])
+    def test_bundle_at_new_t_equals_fresh_barrier(self, obj_rows, con_sizes):
+        """Bundles at t and then at 10 t from one evaluated point equal,
+        bit for bit, the bundles of a fresh barrier at the same y."""
+        barrier, y, _, _ = barrier_case(5, 4, obj_rows, con_sizes)
+        point = barrier.evaluate(y)
+        first = barrier.bundle(y, 3.0, point)
+        assert point.parts is not None
+        second = barrier.bundle(y, 30.0, point)
+        for t, got in ((3.0, first), (30.0, second)):
+            fresh = barrier_case(5, 4, obj_rows, con_sizes)[0].bundle(y, t)
+            for a, b in zip(got, fresh):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_allocate_builds_each_hessian_once(self, monkeypatch):
+        """In one J_D = 2 allocate, every bundled point builds its t-free
+        parts once: centering boundaries (t -> BARRIER_MU t at the same y)
+        and the warm-start pick that _center starts from add no build."""
+        builds, bundled, reused_starts = [], {}, []
+        real_parts, real_bundle, real_center = (gp._Barrier.parts, gp._Barrier.bundle,
+                                                gp._center)
+
+        def counting_parts(self, point):
+            builds.append(point)
+            return real_parts(self, point)
+
+        def recording_bundle(self, y, t, point=None):
+            if point is not None:
+                bundled[id(point)] = point    # kept alive, so ids stay distinct
+            return real_bundle(self, y, t, point)
+
+        def recording_center(barrier, y, point, t, callback=None):
+            reused_starts.append(point.parts is not None)
+            return real_center(barrier, y, point, t, callback)
+
+        monkeypatch.setattr(gp._Barrier, "parts", counting_parts)
+        monkeypatch.setattr(gp._Barrier, "bundle", recording_bundle)
+        monkeypatch.setattr(gp, "_center", recording_center)
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=2)
+        trace = allocation.allocate(cfg, ch, graph, occ)
+
+        assert len(builds) == len(bundled) == len({id(p) for p in builds})
+        boundaries = sum(len(p.solver.path) - 1 for p in trace.points)
+        warm_picks = sum(p.solver.path[0][0] > gp.INITIAL_T for p in trace.points)
+        assert warm_picks > 0
+        assert sum(reused_starts) >= boundaries + warm_picks
+
+
+class TestRegularizedStep:
+    @staticmethod
+    def reference_step(hess, grad):
+        """The regularization as specified: diagonal and trace of the
+        original Hessian, 1e-12 * max(trace, 1) on the diagonal at the
+        first Cholesky failure, ten times more at each further one."""
+        hess = hess.copy()
+        diagonal = hess.diagonal().copy()
+        base = 1e-12 * max(np.trace(hess), 1.0)
+        reg = 0.0
+        while True:
+            try:
+                np.linalg.cholesky(hess)
+            except np.linalg.LinAlgError:
+                reg = base if reg == 0.0 else reg * 10.0
+                hess.flat[::len(grad) + 1] = diagonal + reg
+                continue
+            return np.linalg.solve(hess, -grad), reg
+
+    @pytest.mark.parametrize("hess", [
+        np.zeros((3, 3)),
+        np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        np.diag([4.0, 0.0, 1.0, 2.0]),
+    ], ids=["zero", "rank-1", "zero-eigenvalue"])
+    def test_singular_psd_hessian(self, hess):
+        """A singular PSD Hessian (integer entries, so the Cholesky test
+        fails exactly) takes the regularization branch, and the direction
+        and the regularized diagonal match the formula bit for bit."""
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(hess)
+        grad = np.linspace(-1.0, 2.0, len(hess))
+        want, reg = self.reference_step(hess, grad)
+        work = hess.copy()
+        got = gp._regularized_newton_step(work, grad)
+        assert reg > 0
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(work.diagonal(), hess.diagonal() + reg)
 
 
 class TestOverflowSafety:

@@ -16,6 +16,7 @@ from scma_d2d.posynomial import (
     condense,
     multiply,
     _merge_terms,
+    _radix_codes,
     product,
     to_convex_form,
 )
@@ -184,6 +185,100 @@ class TestMergeTerms:
         _assert_same_bits(got_c, want_c)
 
 
+def _merge_terms_lexsort(coefficients, exponents):
+    """The merge by np.lexsort and a Python loop: rows in lexicographic
+    order, each group's coefficients added one at a time in input order."""
+    keys = np.round(exponents, MERGE_DECIMALS) + 0.0
+    rows, sums = [], []
+    for i in np.lexsort(keys.T[::-1]):
+        if rows and np.array_equal(keys[i], rows[-1]):
+            sums[-1] += coefficients[i]
+        else:
+            rows.append(keys[i])
+            sums.append(0.0 + coefficients[i])
+    return np.array(sums), np.array(rows)
+
+
+@st.composite
+def integer_merge_inputs(draw):
+    """(coefficients, exponents, kind): up to 400 rows over up to 16
+    columns, copies of a few base rows with entries in a drawn integer
+    range (negative ones included); copied zeros may turn into -0.0.
+    kind "perturbed" moves some copied entries by 1e-13 (integers again
+    after rounding); "fractional" puts 0.5 or 1/3 on some entries; "wide"
+    spreads the integers up to 6e8, past the magnitude the single-key path
+    takes, and far enough that with many columns its codes could not be
+    exact.  Coefficients mix 1.0 with 1e-16, so that a sum over three or
+    more duplicates depends on the order of addition."""
+    kind = draw(st.sampled_from(["integer", "perturbed", "fractional", "wide"]))
+    n_cols = draw(st.integers(1, 16))
+    n_base = draw(st.integers(1, 30))
+    n_rows = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-4, 0))
+    hi = lo + draw(st.integers(0, 6))
+    base = rng.integers(lo, hi + 1, size=(n_base, n_cols)).astype(float)
+    if kind == "fractional":
+        frac = rng.random(base.shape) < 0.1
+        frac[0, 0] = True
+        base[frac] += rng.choice([0.5, 1.0 / 3.0], size=frac.sum())
+    elif kind == "wide":
+        base *= 10.0 ** rng.integers(0, 9, size=base.shape)
+    pick = rng.integers(n_base, size=n_rows)
+    pick[0] = 0
+    rows = base[pick]
+    rows = np.where((rng.random(rows.shape) < 0.3) & (rows == 0), -0.0, rows)
+    if kind == "perturbed":
+        moved = rng.random(rows.shape) < 0.05
+        rows[moved] += rng.choice([-1e-13, 1e-13], size=moved.sum())
+    coefficients = np.where(rng.random(n_rows) < 0.6,
+                            rng.choice([1.0, 1e-16], size=n_rows),
+                            rng.uniform(0.1, 10.0, size=n_rows))
+    return coefficients, rows, kind
+
+
+class TestSingleKeyMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(case=integer_merge_inputs())
+    @example(case=(np.array([1.0, 1e-16, 1e-16]), np.array([[-1.0, 0.0]] * 3), "integer"))
+    @example(case=(np.array([1e-16, 1e-16, 1.0]), np.array([[-1.0, -0.0]] * 3), "integer"))
+    @example(case=(np.array([1.0, 2.0, 3.0]), np.array([[0.0], [-0.0], [-1.0]]), "integer"))
+    @example(case=(np.array([1.0, 1.0]), np.array([[1.0, 0.5], [1.0, 0.5]]), "fractional"))
+    # rounding to 12 decimals moves this integer to 54927319.00000001
+    @example(case=(np.array([1.0, 2.0]), np.array([[54927319.0], [3.0]]), "wide"))
+    # 64 copies of one row: an unstable sort would reorder the 1e-16 terms
+    @example(case=(np.tile([1.0, 1e-16, 1e-16, 1e-16], 16), np.zeros((64, 3)), "integer"))
+    def test_matches_lexsort_reference(self, case):
+        """Same rows, order and coefficient bits as the lexsort merge that
+        sums each group in input order, on the single-key path and on the
+        lexsort fallback alike."""
+        coefficients, exponents, kind = case
+        got_c, got_a = _merge_terms(coefficients, exponents)
+        want_c, want_a = _merge_terms_lexsort(coefficients, exponents)
+        _assert_same_bits(got_a, want_a)
+        _assert_same_bits(got_c, want_c)
+        if kind == "fractional":
+            assert _radix_codes(exponents) is None
+
+    def test_codes_sort_like_rows(self):
+        """Integer rows get one code each, ordered as np.lexsort orders the
+        rows; fractional rows and ranges whose codes could not be exact
+        get None."""
+        rng = np.random.default_rng(7)
+        keys = rng.integers(-3, 4, size=(300, 16)).astype(float) + 0.0
+        codes = _radix_codes(keys)
+        np.testing.assert_array_equal(np.argsort(codes, kind="stable"),
+                                      np.lexsort(keys.T[::-1]))
+        assert len(np.unique(codes)) == len(np.unique(keys, axis=0))
+        assert _radix_codes(keys + 0.5) is None
+        wide = keys.copy()
+        wide[0, 0] = 20.0    # base 24 over 16 columns: 24**16 > 2**53
+        assert _radix_codes(wide) is None
+        assert _radix_codes(np.array([[2.0 ** 25, 0.0]])) is None
+        assert _radix_codes(np.ones((2, 400)) * np.array([[1.0], [-1.0]])) is None
+        assert _radix_codes(np.zeros((4, 3))) is not None
+
+
 class TestMultiply:
     def test_identity_monomial(self):
         rng = np.random.default_rng(3)
@@ -233,6 +328,22 @@ class TestCondense:
         tilde = condense(g, [1.0])
         assert tilde.coefficient == pytest.approx(2.0, rel=1e-12)
         assert tilde.exponents[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_underflowing_weight_contributes_factor_one(self):
+        """A term whose weight underflows to zero changes neither the
+        coefficient nor the exponents: the result is the condensation of
+        the other terms, and finite."""
+        reg = ("x", "y")
+        kept = [Monomial.from_powers(reg, 2.0, {"x": 1}),
+                Monomial.from_powers(reg, 0.5, {"y": -1})]
+        faint = Monomial.from_powers(reg, 1e-300, {"x": -100, "y": 3})
+        x0 = [1e5, 2.0]
+        assert faint.evaluate(x0) == 0.0
+        got = condense(Posynomial.from_monomials(kept + [faint]), x0)
+        want = condense(Posynomial.from_monomials(kept), x0)
+        assert np.isfinite(got.coefficient) and np.all(np.isfinite(got.exponents))
+        assert got.coefficient == pytest.approx(want.coefficient, rel=1e-14)
+        np.testing.assert_allclose(got.exponents, want.exponents, rtol=0, atol=1e-15)
 
     def test_underestimates_everywhere_tight_at_center(self):
         """AM-GM sweep: gtilde <= g at sampled points, equality at x0."""
