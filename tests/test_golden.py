@@ -23,6 +23,8 @@ newton_steps_cold.json keeps those counts as they were when every pass
 started the barrier cold at t = 1; no recorder writes it.  Against it,
 the warm-started solves must take the same steps in the first pass, no
 more steps in any pass, and the same number of passes.
+jacobi_eigenvalues.json holds seeded eigensolver inputs with their
+eigenvalues as float.hex strings; both solvers must give them bit for bit.
 """
 
 import csv
@@ -47,6 +49,7 @@ from scma_d2d.allocation import (
     random_baseline,
 )
 from scma_d2d.capacity import default_occupancy
+from scma_d2d.eig import hermitian_eigenvalues, jacobi_eigenvalues
 from scma_d2d.channel import (
     ScenarioConfig,
     rng_streams,
@@ -91,6 +94,7 @@ ALLOCATE_FILE = "allocate_jd4.json"
 # seed 2 at J_D = 4 is certified infeasible (see START_FILE)
 ALLOCATE_SEEDS = (0, 1, 3)
 NEWTON_FILE = "newton_steps.json"
+EIG_FILE = "jacobi_eigenvalues.json"
 COLD_NEWTON_FILE = "newton_steps_cold.json"
 
 
@@ -236,6 +240,91 @@ def _record_newton_steps(out_dir):
     (out_dir / NEWTON_FILE).write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
+def _eig_cases():
+    """(name, function, real part, imaginary part or None) of the seeded
+    eigensolver inputs: dense Hermitian and real symmetric matrices at
+    scales 1e-14 to 1e2, rank-1 and rank-2 pieces shaped like the
+    covariance splits (each user on two of four tones), the 1 x 1, 2 x 2,
+    zero and diagonal cases, a diagonal with 1e-13 off-diagonals, and
+    inputs symmetric only up to rounding."""
+    rng = np.random.default_rng(20)
+    scales = (1e-14, 1e-10, 1e-6, 1e-2, 1.0, 1e2)
+
+    def hermitian(n, scale):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return scale * (m + m.conj().T) / 2
+
+    def symmetric(n, scale):
+        m = rng.normal(size=(n, n))
+        return scale * (m + m.T) / 2
+
+    def split_piece(scale, rank):
+        q = np.zeros((4, 4), dtype=complex)
+        for _ in range(rank):
+            h = np.zeros(4, dtype=complex)
+            tones = rng.choice(4, size=2, replace=False)
+            h[tones] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            q += scale * rng.uniform(0.1, 1.0) * np.outer(h, h.conj())
+        return q
+
+    cases = []
+    for scale in scales:
+        cases.append((f"herm4_{scale:g}", hermitian(4, scale)))
+    for scale in (1e-14, 1.0, 1e2):
+        cases.append((f"herm8_{scale:g}", hermitian(8, scale)))
+    for scale in (1e-13, 1e-9, 1e-3):
+        cases.append((f"rank1_{scale:g}", split_piece(scale, 1)))
+        cases.append((f"rank2_{scale:g}", split_piece(scale, 2)))
+    # a weighted Gram product is Hermitian only up to rounding
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    cases.append(("gram4_rounded", (m * rng.uniform(0.5, 2.0, size=4)) @ m.conj().T))
+    cases.append(("herm1", np.array([[rng.normal() + 0j]])))
+    cases.append(("herm2", hermitian(2, 1.0)))
+    cases.append(("zero4", np.zeros((4, 4), dtype=complex)))
+    diagonal = np.diag(rng.uniform(-1.0, 1.0, size=4)).astype(complex)
+    cases.append(("diag4", diagonal))
+    cases.append(("diag4_offdiag_1e-13", diagonal + 1e-13 * hermitian(4, 1.0)))
+    out = [(name, "hermitian_eigenvalues", q.real.copy(), q.imag.copy())
+           for name, q in cases]
+
+    real = []
+    for scale in scales:
+        real.append((f"sym4_{scale:g}", symmetric(4, scale)))
+    for scale in (1e-14, 1.0, 1e2):
+        real.append((f"sym8_{scale:g}", symmetric(8, scale)))
+    m = rng.normal(size=(6, 6))
+    real.append(("gram6_rounded", (m * rng.uniform(0.5, 2.0, size=6)) @ m.T))
+    real.append(("sym1", np.array([[rng.normal()]])))
+    real.append(("sym2", symmetric(2, 1.0)))
+    real.append(("zero4_real", np.zeros((4, 4))))
+    diagonal = np.diag(rng.uniform(-1.0, 1.0, size=5))
+    real.append(("diag5", diagonal))
+    real.append(("diag5_offdiag_1e-13", diagonal + 1e-13 * symmetric(5, 1.0)))
+    out += [(name, "jacobi_eigenvalues", a, None) for name, a in real]
+    return out
+
+
+def _hex(a):
+    return np.vectorize(float.hex, otypes=[object])(np.asarray(a, dtype=float)).tolist()
+
+
+def _record_eigenvalues(out_dir):
+    """float.hex of jacobi_eigenvalues and hermitian_eigenvalues on the
+    seeded inputs of _eig_cases, with the inputs themselves."""
+    cases = []
+    for name, function, re_part, im_part in _eig_cases():
+        if im_part is None:
+            w = jacobi_eigenvalues(re_part)
+        else:
+            w = hermitian_eigenvalues(re_part + 1j * im_part)
+        case = {"name": name, "function": function, "real": _hex(re_part)}
+        if im_part is not None:
+            case["imag"] = _hex(im_part)
+        case["eigenvalues"] = _hex(w)
+        cases.append(json.dumps(case))
+    (out_dir / EIG_FILE).write_text("[\n" + ",\n".join(cases) + "\n]\n")
+
+
 # (the golden files a recorder writes, the recorder)
 RECORDERS = (
     (("compare_jd2.csv",), _record_compare),
@@ -248,6 +337,7 @@ RECORDERS = (
     ((PRODUCTS_FILE,), _record_products),
     ((ALLOCATE_FILE,), _record_allocations),
     ((NEWTON_FILE,), _record_newton_steps),
+    ((EIG_FILE,), _record_eigenvalues),
 )
 
 
@@ -386,6 +476,21 @@ def test_newton_steps_within_cold_ceiling(fresh):
     assert sorted(totals) == ["jd1", "jd2", "jd4"]
     for jd, (warm_total, cold_total) in totals.items():
         assert warm_total <= 0.7 * cold_total, (jd, warm_total, cold_total)
+
+
+def test_eigenvalues_match_golden_bit_for_bit():
+    """Both solvers give the recorded eigenvalues, to the last bit, on the
+    recorded inputs."""
+    cases = json.loads((FIXTURES / EIG_FILE).read_text())
+    assert len(cases) == len(_eig_cases())
+    for case in cases:
+        a = np.vectorize(float.fromhex)(np.array(case["real"]))
+        if case["function"] == "hermitian_eigenvalues":
+            w = hermitian_eigenvalues(a + 1j * np.vectorize(float.fromhex)(
+                np.array(case["imag"])))
+        else:
+            w = jacobi_eigenvalues(a)
+        assert _hex(w) == case["eigenvalues"], case["name"]
 
 
 def test_record_writes_only_named_files(tmp_path):
