@@ -192,10 +192,20 @@ class _Barrier:
 
 
 def _regularized_newton_step(hess, grad):
-    """Solve hess d = -grad.  A Cholesky factorization checks positive
-    definiteness; while it fails, 1e-12*trace(H) (escalating tenfold) is
-    put on the diagonal of hess, in place.  The diagonal and the trace are
-    read at the first failure, before hess changes."""
+    """Solve hess d = -grad.  The plain solve is returned when it succeeds
+    with a finite descent direction (grad . d < 0), as it does for every
+    positive definite hess: one factorization per step.  Otherwise a
+    Cholesky factorization checks positive definiteness; while it fails,
+    1e-12*trace(H) (escalating tenfold) is put on the diagonal of hess, in
+    place.  The diagonal and the trace are read at the first failure,
+    before hess changes."""
+    try:
+        delta = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.isfinite(delta).all() and grad @ delta < 0:
+            return delta
     diagonal = None
     for _ in range(60):
         try:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scma_d2d.eig import (
+    JacobiConvergenceError,
     NonHermitianError,
     hermitian_eigenvalues,
     jacobi_eigenvalues,
@@ -118,3 +119,78 @@ def test_property_matches_eigvalsh(q):
     want = np.linalg.eigvalsh(q)
     got = hermitian_eigenvalues(q)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def _numpy_row_jacobi(a, off_diag_rel_tol=1e-12, max_sweeps=60):
+    """The solver's earlier form, rotating whole numpy rows and columns:
+    the reference the Python-float sweeps must match bit for bit."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    thresh = off_diag_rel_tol * np.linalg.norm(a)
+    for _ in range(max_sweeps):
+        if np.abs(a - np.diag(np.diag(a))).max() <= thresh:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= thresh:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                for m in (a, a.T):
+                    row_p = m[p].copy()
+                    m[p] = c * row_p - s * m[q]
+                    m[q] = s * row_p + c * m[q]
+                a[p, q] = a[q, p] = 0.0
+    else:
+        raise AssertionError("reference did not converge")
+    return np.sort(np.diag(a), kind="stable")
+
+
+@settings(max_examples=50, deadline=None)
+@given(hermitian_matrices())
+def test_property_bit_identical_to_numpy_rows(q):
+    """The Python-float sweeps round every entry as the numpy row form
+    does, so the eigenvalues of the real embedding agree to the last bit."""
+    a = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    want = _numpy_row_jacobi(a)
+    assert jacobi_eigenvalues(a).tobytes() == want.tobytes()
+    assert hermitian_eigenvalues(q).tobytes() == want[0::2].tobytes()
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigenvalues(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(a.astype(complex))
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigenvalues([[bad]])
+
+    def test_norm_overflow_rejected(self):
+        """Entries near 1e200 are finite, but their Frobenius norm is not,
+        and a threshold of inf would end the sweeps before any rotation."""
+        a = np.array([[0.0, 1e200], [1e200, 0.0]])
+        with pytest.raises(ValueError, match="overflows"):
+            jacobi_eigenvalues(a)
+        with pytest.raises(ValueError, match="overflows"):
+            hermitian_eigenvalues(a)
+
+    def test_sweep_limit_raises(self):
+        m = np.random.default_rng(3).normal(size=(6, 6))
+        with pytest.raises(JacobiConvergenceError, match="1 sweeps"):
+            jacobi_eigenvalues(m + m.T, max_sweeps=1)
+
+    def test_lower_triangle_asymmetry_converges(self):
+        """A matrix Hermitian within the 1e-10 acceptance tolerance but
+        with a lower entry above the rotation threshold: no rotation can
+        reach that entry, so it must not keep the sweeps going."""
+        q = np.array([[1.0, 0.0], [1e-11, 1.0]], dtype=complex)
+        assert np.allclose(hermitian_eigenvalues(q), [1.0, 1.0])

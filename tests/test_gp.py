@@ -304,6 +304,32 @@ class TestRegularizedStep:
         assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(work.diagonal(), hess.diagonal() + reg)
 
+    def test_positive_definite_takes_plain_solve(self):
+        """An SPD system is solved once: the direction is numpy's solve,
+        byte for byte, and hess is left as it was."""
+        m = np.random.default_rng(4).normal(size=(5, 5))
+        hess = m @ m.T + 0.1 * np.eye(5)
+        grad = np.linspace(-1.0, 2.0, 5)
+        work = hess.copy()
+        got = gp._regularized_newton_step(work, grad)
+        assert got.tobytes() == np.linalg.solve(hess, -grad).tobytes()
+        assert work.tobytes() == hess.tobytes()
+
+    def test_indefinite_ascent_direction_falls_back(self):
+        """A nonsingular indefinite system whose solve points uphill
+        (grad . d > 0) takes the regularization branch instead."""
+        hess = np.diag([1.0, -1.0])
+        grad = np.array([0.1, 1.0])
+        plain = np.linalg.solve(hess, -grad)
+        assert grad @ plain > 0
+        want, reg = self.reference_step(hess, grad)
+        work = hess.copy()
+        got = gp._regularized_newton_step(work, grad)
+        assert reg > 0
+        assert got.tobytes() == want.tobytes()
+        assert grad @ got < 0
+        np.testing.assert_array_equal(work.diagonal(), hess.diagonal() + reg)
+
 
 class TestOverflowSafety:
     def test_max_shift_leaves_values_unchanged(self):
