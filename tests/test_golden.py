@@ -49,13 +49,13 @@ from scma_d2d.allocation import (
     random_baseline,
 )
 from scma_d2d.capacity import default_occupancy
-from scma_d2d.eig import hermitian_eigenvalues, jacobi_eigenvalues
 from scma_d2d.channel import (
     ScenarioConfig,
     rng_streams,
     sample_channels,
     sample_geometry,
 )
+from scma_d2d.eig import hermitian_eigenvalues, jacobi_eigenvalues
 from scma_d2d.experiments import (
     ExperimentSpec,
     run_baseline_comparison,
@@ -241,8 +241,8 @@ def _record_newton_steps(out_dir):
 
 
 def _eig_cases():
-    """(name, function, real part, imaginary part or None) of the seeded
-    eigensolver inputs: dense Hermitian and real symmetric matrices at
+    """(name, real part, imaginary part or None) of the seeded eigensolver
+    inputs: dense Hermitian and real symmetric matrices at
     scales 1e-14 to 1e2, rank-1 and rank-2 pieces shaped like the
     covariance splits (each user on two of four tones), the 1 x 1, 2 x 2,
     zero and diagonal cases, a diagonal with 1e-13 off-diagonals, and
@@ -284,8 +284,7 @@ def _eig_cases():
     diagonal = np.diag(rng.uniform(-1.0, 1.0, size=4)).astype(complex)
     cases.append(("diag4", diagonal))
     cases.append(("diag4_offdiag_1e-13", diagonal + 1e-13 * hermitian(4, 1.0)))
-    out = [(name, "hermitian_eigenvalues", q.real.copy(), q.imag.copy())
-           for name, q in cases]
+    out = [(name, q.real.copy(), q.imag.copy()) for name, q in cases]
 
     real = []
     for scale in scales:
@@ -300,7 +299,7 @@ def _eig_cases():
     diagonal = np.diag(rng.uniform(-1.0, 1.0, size=5))
     real.append(("diag5", diagonal))
     real.append(("diag5_offdiag_1e-13", diagonal + 1e-13 * symmetric(5, 1.0)))
-    out += [(name, "jacobi_eigenvalues", a, None) for name, a in real]
+    out += [(name, a, None) for name, a in real]
     return out
 
 
@@ -308,19 +307,28 @@ def _hex(a):
     return np.vectorize(float.hex, otypes=[object])(np.asarray(a, dtype=float)).tolist()
 
 
+def _unhex(strings):
+    return np.vectorize(float.fromhex)(np.array(strings))
+
+
+def _eigenvalues(re_part, im_part):
+    """jacobi_eigenvalues of a real input, hermitian_eigenvalues of a
+    complex one (im_part given)."""
+    if im_part is None:
+        return jacobi_eigenvalues(re_part)
+    return hermitian_eigenvalues(re_part + 1j * im_part)
+
+
 def _record_eigenvalues(out_dir):
-    """float.hex of jacobi_eigenvalues and hermitian_eigenvalues on the
-    seeded inputs of _eig_cases, with the inputs themselves."""
+    """float.hex of the eigenvalues of the seeded inputs of _eig_cases,
+    with the inputs themselves."""
     cases = []
-    for name, function, re_part, im_part in _eig_cases():
-        if im_part is None:
-            w = jacobi_eigenvalues(re_part)
-        else:
-            w = hermitian_eigenvalues(re_part + 1j * im_part)
+    for name, re_part, im_part in _eig_cases():
+        function = "jacobi_eigenvalues" if im_part is None else "hermitian_eigenvalues"
         case = {"name": name, "function": function, "real": _hex(re_part)}
         if im_part is not None:
             case["imag"] = _hex(im_part)
-        case["eigenvalues"] = _hex(w)
+        case["eigenvalues"] = _hex(_eigenvalues(re_part, im_part))
         cases.append(json.dumps(case))
     (out_dir / EIG_FILE).write_text("[\n" + ",\n".join(cases) + "\n]\n")
 
@@ -479,17 +487,14 @@ def test_newton_steps_within_cold_ceiling(fresh):
 
 
 def test_eigenvalues_match_golden_bit_for_bit():
-    """Both solvers give the recorded eigenvalues, to the last bit, on the
-    recorded inputs."""
+    """jacobi_eigenvalues (real inputs) and hermitian_eigenvalues (complex
+    ones) give the recorded eigenvalues, to the last bit, on the recorded
+    inputs."""
     cases = json.loads((FIXTURES / EIG_FILE).read_text())
     assert len(cases) == len(_eig_cases())
     for case in cases:
-        a = np.vectorize(float.fromhex)(np.array(case["real"]))
-        if case["function"] == "hermitian_eigenvalues":
-            w = hermitian_eigenvalues(a + 1j * np.vectorize(float.fromhex)(
-                np.array(case["imag"])))
-        else:
-            w = jacobi_eigenvalues(a)
+        im_part = _unhex(case["imag"]) if "imag" in case else None
+        w = _eigenvalues(_unhex(case["real"]), im_part)
         assert _hex(w) == case["eigenvalues"], case["name"]
 
 
