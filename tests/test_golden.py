@@ -7,6 +7,9 @@ module as a script to write them all again, or only the ones named:
     PYTHONPATH=src python tests/test_golden.py
     PYTHONPATH=src python tests/test_golden.py solver_trace_seed0.csv newton_steps.json
 
+Before a file is overwritten, the number of values that changed and the
+largest relative change are printed per CSV column or JSON case.
+
 Feasibility flags, random-baseline draw counts, random-allocation rates
 and every column of the bound-validation CSV (eigenvalues and capacities)
 must match exactly, proposed rates to 1e-9 bits and powers to a relative
@@ -31,6 +34,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -349,11 +353,74 @@ RECORDERS = (
 )
 
 
+def _leaves(value):
+    """The scalars of a JSON value in document order, float.hex strings
+    read as floats."""
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in _leaves(v)]
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in _leaves(v)]
+    if isinstance(value, str):
+        try:
+            return [float.fromhex(value)]
+        except ValueError:
+            return [value]
+    return [value]
+
+
+def _json_cases(path):
+    """Case name -> scalars: the top-level keys of an object, or the
+    "name" of each element of a list."""
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, list):
+        return {case.get("name", str(i)): _leaves(case) for i, case in enumerate(data)}
+    return {key: _leaves(value) for key, value in data.items()}
+
+
+def _csv_columns(path):
+    rows = _rows(path)
+    return {column: [row[column] for row in rows] for column in (rows[0] if rows else {})}
+
+
+def _change(old, new):
+    """(values changed, largest relative change among the numeric ones)
+    of two equally long lists of scalars."""
+    changed, largest = 0, 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        changed += 1
+        try:
+            a, b = float(a), float(b)
+        except (TypeError, ValueError):
+            continue
+        largest = max(largest, abs(b - a) / abs(a) if a else math.inf)
+    return changed, largest
+
+
+def report_changes(old_path, new_path):
+    """Lines naming, per CSV column or JSON case of the golden file at
+    old_path, how many values the fresh file at new_path changes and the
+    largest relative change."""
+    read = _csv_columns if Path(old_path).suffix == ".csv" else _json_cases
+    old, new = read(old_path), read(new_path)
+    lines = []
+    for key in dict.fromkeys([*old, *new]):
+        if key not in old or key not in new or len(old[key]) != len(new[key]):
+            lines.append(f"{key}: added, removed or resized")
+            continue
+        changed, largest = _change(old[key], new[key])
+        lines.append(f"{key}: {changed} of {len(old[key])} values changed, "
+                     f"largest relative change {largest:.2g}")
+    return lines
+
+
 def record(out_dir, names=None):
     """Write the golden files named in names, or every one when names is
     None, into out_dir.  Recorders run in a temporary directory and only
     the named files are copied out, so a recorder that writes several
-    files cannot overwrite one that was not asked for."""
+    files cannot overwrite one that was not asked for.  Before a file in
+    out_dir is overwritten, report_changes is printed for it."""
     known = [name for files, _ in RECORDERS for name in files]
     names = known if names is None else list(names)
     unknown = sorted(set(names) - set(known))
@@ -365,7 +432,12 @@ def record(out_dir, names=None):
             if wanted:
                 recorder(Path(tmp))
                 for name in wanted:
-                    shutil.copyfile(Path(tmp) / name, Path(out_dir) / name)
+                    target = Path(out_dir) / name
+                    if target.exists():
+                        print(f"{name}:")
+                        for line in report_changes(target, Path(tmp) / name):
+                            print(f"  {line}")
+                    shutil.copyfile(Path(tmp) / name, target)
 
 
 def _rows(path):
@@ -505,6 +577,26 @@ def test_record_writes_only_named_files(tmp_path):
             == json.loads((FIXTURES / PRODUCTS_FILE).read_text()))
     with pytest.raises(ValueError, match="no golden file"):
         record(tmp_path, ["rates.csv"])
+
+
+
+def test_report_changes_per_column_and_case(tmp_path):
+    (tmp_path / "old.csv").write_text("seed,lower,upper\n0,1.0,2.0\n1,4.0,8.0\n")
+    (tmp_path / "new.csv").write_text("seed,lower,upper\n0,1.0,2.5\n1,4.0,7.0\n")
+    assert report_changes(tmp_path / "old.csv", tmp_path / "new.csv") == [
+        "seed: 0 of 2 values changed, largest relative change 0",
+        "lower: 0 of 2 values changed, largest relative change 0",
+        "upper: 2 of 2 values changed, largest relative change 0.25"]
+    old = [{"name": "a", "eigenvalues": [(1.0).hex(), (2.0).hex()]},
+           {"name": "b", "eigenvalues": [(0.0).hex()]}]
+    new = [{"name": "a", "eigenvalues": [(1.0).hex(), (2.0 + 2**-51).hex()]},
+           {"name": "c", "eigenvalues": [(0.0).hex()]}]
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    (tmp_path / "new.json").write_text(json.dumps(new))
+    assert report_changes(tmp_path / "old.json", tmp_path / "new.json") == [
+        "a: 1 of 3 values changed, largest relative change 2.2e-16",
+        "b: added, removed or resized",
+        "c: added, removed or resized"]
 
 
 if __name__ == "__main__":
