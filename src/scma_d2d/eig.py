@@ -1,16 +1,14 @@
-"""Cyclic Jacobi eigensolver for complex Hermitian matrices.
+"""Cyclic Jacobi eigensolver for complex Hermitian and real symmetric
+matrices.
 
-A Hermitian Q = A + iB (A symmetric, B antisymmetric) is embedded as the
-real symmetric 2n x 2n matrix [[A, -B], [B, A]], whose spectrum is that of
-Q with every eigenvalue doubled; classic two-sided Jacobi rotations then
-drive the off-diagonal mass to zero.  Matrices in this package are tiny
-(K <= 8), where Jacobi's simplicity and unconditional convergence beat any
-fancier scheme.
-
-The sweeps run on nested lists of Python floats: at these sizes a numpy
-call per row costs far more than the arithmetic it does.  Each entry goes
-through the same IEEE double operations in the same order as the
-row-at-a-time numpy form, so the eigenvalues are bit-identical to it.
+A rotation zeroes the upper entry q_pr = |q_pr| e (|e| = 1) of the n x n
+matrix itself: [[c, -s e], [s conj(e), c]] acts on rows p and r and its
+conjugate transpose on columns p and r, with (c, s) the real Jacobi
+rotation of the 2 x 2 block whose off-diagonal is |q_pr|.  On a real
+matrix e = +-1 and this is classic real Jacobi.  Matrices here are tiny
+(K <= 8), where Jacobi's simplicity and unconditional convergence beat
+any fancier scheme; the sweeps run on nested lists of Python numbers, as
+a numpy call per row costs far more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -28,6 +26,13 @@ class JacobiConvergenceError(RuntimeError):
     """Sweep limit reached before the off-diagonal threshold."""
 
 
+def _square(a, dtype):
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    return a
+
+
 def _frobenius_norm(a):
     """Frobenius norm of a; a ValueError for non-finite entries or a norm
     beyond float64, where no off-diagonal threshold is meaningful."""
@@ -40,75 +45,70 @@ def _frobenius_norm(a):
     return norm
 
 
-def jacobi_eigenvalues(a, off_diag_rel_tol=1e-12, max_sweeps=60):
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, ascending.
+def _sweeps(a, thresh, max_sweeps):
+    """Ascending real parts of the diagonal that cyclic Jacobi rotations
+    leave in the square nested list a (rotated in place).
 
-    Sweeps rotate every pair (p, q), p < q, whose entry a[p, q] exceeds
-    off_diag_rel_tol times the Frobenius norm of the input in magnitude,
-    until a sweep finds none.  Only the upper triangle is tested: a
-    rotation zeroes both a[p, q] and a[q, p], and a lower entry that no
-    rotation reaches (an input symmetric only up to rounding) is no reason
-    to sweep again.
+    Sweeps rotate every pair (p, r), p < r, whose entry a[p][r] exceeds
+    thresh in magnitude, until a sweep finds none.  Only the upper
+    triangle is tested: a rotation zeroes both a[p][r] and a[r][p], and a
+    lower entry that no rotation reaches (an input Hermitian only up to
+    rounding) is no reason to sweep again.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    thresh = off_diag_rel_tol * _frobenius_norm(a)
-    if n == 1:
-        return a.reshape(1).copy()
-    a = a.tolist()
+    n = len(a)
     for _ in range(max_sweeps):
         rotated = False
         for p in range(n - 1):
             row_p = a[p]
-            for q in range(p + 1, n):
-                apq = row_p[q]
-                if abs(apq) <= thresh:
+            for r in range(p + 1, n):
+                apr = row_p[r]
+                mag = abs(apr)
+                if mag <= thresh:
                     continue
                 rotated = True
-                row_q = a[q]
-                theta = (row_q[q] - row_p[p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                row_r = a[r]
+                e = apr / mag
+                theta = (row_r[r].real - row_p[p].real) / (2.0 * mag)
                 if theta == 0.0:
-                    t = 1.0
+                    # both roots of t^2 = 1 zero the entry; this one
+                    # gives s e = c on a real matrix, as real Jacobi's t = 1
+                    t = math.copysign(1.0, e.real)
+                else:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # rows p and q, then columns p and q: [[c, -s], [s, c]]
-                new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
-                a[q] = row_q = [s * x + c * y for x, y in zip(row_p, row_q)]
+                se = t * c * e
+                se_conj = se.conjugate()
+                new_p = [c * x - se * y for x, y in zip(row_p, row_r)]
+                a[r] = row_r = [se_conj * x + c * y for x, y in zip(row_p, row_r)]
                 a[p] = row_p = new_p
                 for row in a:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                row_p[q] = row_q[p] = 0.0
+                    x, y = row[p], row[r]
+                    row[p] = c * x - se_conj * y
+                    row[r] = se * x + c * y
+                row_p[r] = row_r[p] = 0.0
         # a sweep that rotates nothing leaves every entry it tests within
         # thresh; a NaN tests false and keeps the sweeps going
         if not rotated:
             break
     else:
         raise JacobiConvergenceError(f"no convergence in {max_sweeps} sweeps")
-    return np.sort([row[i] for i, row in enumerate(a)], kind="stable")
+    return np.sort([row[i].real for i, row in enumerate(a)], kind="stable")
 
 
-def _check_hermitian(q):
-    q = np.asarray(q, dtype=complex)
-    n = q.shape[0]
-    if q.shape != (n, n):
-        raise ValueError("matrix must be square")
-    scale = _frobenius_norm(q)
-    if np.linalg.norm(q - q.conj().T) > 1e-10 * max(scale, 1e-300):
-        raise NonHermitianError("matrix is not Hermitian within 1e-10 relative")
-    return q
+def jacobi_eigenvalues(a, off_diag_rel_tol=1e-12, max_sweeps=60):
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, ascending.
+
+    Pairs are rotated while an upper-triangle entry exceeds
+    off_diag_rel_tol times the Frobenius norm of the input in magnitude.
+    """
+    a = _square(a, float)
+    return _sweeps(a.tolist(), off_diag_rel_tol * _frobenius_norm(a), max_sweeps)
 
 
 def hermitian_eigenvalues(q):
     """Real eigenvalues of a Hermitian matrix in nondecreasing order."""
-    q = _check_hermitian(q)
-    n = q.shape[0]
-    a = np.empty((2 * n, 2 * n))
-    a[:n, :n] = a[n:, n:] = q.real
-    a[:n, n:] = -q.imag
-    a[n:, :n] = q.imag
-    return jacobi_eigenvalues(a)[0::2]
+    q = _square(q, complex)
+    norm = _frobenius_norm(q)
+    if np.linalg.norm(q - q.conj().T) > 1e-10 * max(norm, 1e-300):
+        raise NonHermitianError("matrix is not Hermitian within 1e-10 relative")
+    return _sweeps(q.tolist(), 1e-12 * norm, 60)

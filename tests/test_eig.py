@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from scma_d2d.eig import (
     JacobiConvergenceError,
     NonHermitianError,
+    _sweeps,
     hermitian_eigenvalues,
     jacobi_eigenvalues,
 )
+from scma_d2d.factor_graph import build_factor_graph, covariance_split, default_skeleton
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -53,6 +55,42 @@ class TestEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_purely_imaginary_pivot(self, sign):
+        """Pivots with e = +-i, in a 2x2 and a tridiagonal 3x3."""
+        for q in (np.array([[1.0, 2j], [-2j, 3.0]]),
+                  np.array([[2.0, 1j, 0], [-1j, -1.0, 0.5j], [0, -0.5j, 0.5]])):
+            q = np.where(np.eye(len(q)) == 1, q, sign * q)
+            want = np.linalg.eigvalsh(q)
+            np.testing.assert_allclose(hermitian_eigenvalues(q), want,
+                                       rtol=0, atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("entry", [-2.0, 1.0 + 1.0j, -1.0 - 1.0j, 1.5j])
+    def test_equal_diagonal_pivot(self, entry):
+        """theta = 0: equal diagonal entries, off-diagonal of any phase."""
+        q = np.array([[1.0, entry], [np.conj(entry), 1.0]])
+        want = [1.0 - abs(entry), 1.0 + abs(entry)]
+        np.testing.assert_allclose(hermitian_eigenvalues(q), want,
+                                   rtol=0, atol=1e-15 * want[1])
+
+    def test_equal_diagonal_negative_pivot_real_bits(self):
+        """On a real matrix the theta = 0 rotation is real Jacobi's t = 1,
+        whatever the sign of the entry."""
+        a = np.array([[1.0, -2.0, 0.5], [-2.0, 1.0, -1.0], [0.5, -1.0, 1.0]])
+        want = _numpy_row_jacobi(a).tobytes()
+        assert jacobi_eigenvalues(a).tobytes() == want
+        assert hermitian_eigenvalues(a.astype(complex)).tobytes() == want
+
+    def test_split_piece_with_diagonal_residue(self):
+        """A covariance split piece whose diagonal carries a 1e-17
+        imaginary residue, as a rounded Gram product can: the eigenvalues
+        are those of its Hermitian part."""
+        s1, _ = covariance_split(default_skeleton(build_factor_graph(4, 6, 2)), 0)
+        q = s1 + 1e-17j * np.diag([1.0, -1.0, 0.0, 0.0])
+        want = np.linalg.eigvalsh(q)
+        np.testing.assert_allclose(hermitian_eigenvalues(q), want,
+                                   rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 class TestRealSymmetric:
@@ -114,8 +152,7 @@ def hermitian_matrices(draw):
 @given(hermitian_matrices())
 def test_property_matches_eigvalsh(q):
     """Jacobi eigenvalues match LAPACK's to 1e-9 of the largest magnitude,
-    repeated eigenvalues included (they exercise the pairing of the doubled
-    spectrum of the real embedding)."""
+    repeated eigenvalues included."""
     want = np.linalg.eigvalsh(q)
     got = hermitian_eigenvalues(q)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
@@ -155,11 +192,37 @@ def _numpy_row_jacobi(a, off_diag_rel_tol=1e-12, max_sweeps=60):
 @given(hermitian_matrices())
 def test_property_bit_identical_to_numpy_rows(q):
     """The Python-float sweeps round every entry as the numpy row form
-    does, so the eigenvalues of the real embedding agree to the last bit."""
+    does, so the eigenvalues of the real embedding agree to the last bit;
+    the complex sweeps on q itself agree with every other one of them to
+    1e-13 of the largest magnitude."""
     a = np.block([[q.real, -q.imag], [q.imag, q.real]])
     want = _numpy_row_jacobi(a)
     assert jacobi_eigenvalues(a).tobytes() == want.tobytes()
-    assert hermitian_eigenvalues(q).tobytes() == want[0::2].tobytes()
+    got = hermitian_eigenvalues(q)
+    assert np.abs(got - want[0::2]).max() <= 1e-13 * np.abs(want).max()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random real symmetric K x K (K <= 8): scaled six-digit entries, or
+    small integers, whose exact ties exercise the theta = 0 rule."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        entries, scale = st.integers(-3, 3).map(float), 1.0
+    else:
+        entries, scale = _entries, 10.0 ** draw(st.integers(-12, 3))
+    m = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return scale * (m + m.T) / 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(symmetric_matrices())
+def test_property_complex_sweeps_keep_real_bits(a):
+    """On a real symmetric matrix every e is +-1, so the complex sweeps
+    round each real part as real Jacobi does, to the last bit."""
+    want = _numpy_row_jacobi(a).tobytes()
+    assert jacobi_eigenvalues(a).tobytes() == want
+    assert hermitian_eigenvalues(a.astype(complex)).tobytes() == want
 
 
 class TestInvalidInput:
@@ -187,6 +250,16 @@ class TestInvalidInput:
         m = np.random.default_rng(3).normal(size=(6, 6))
         with pytest.raises(JacobiConvergenceError, match="1 sweeps"):
             jacobi_eigenvalues(m + m.T, max_sweeps=1)
+        q = random_hermitian(np.random.default_rng(4), 6)
+        with pytest.raises(JacobiConvergenceError, match="1 sweeps"):
+            _sweeps(q.tolist(), 1e-12 * np.linalg.norm(q), max_sweeps=1)
+
+    @pytest.mark.parametrize("bad", [5.0, np.ones((2, 3)), np.ones((2, 2, 2))])
+    def test_non_square_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be square"):
+            jacobi_eigenvalues(bad)
+        with pytest.raises(ValueError, match="must be square"):
+            hermitian_eigenvalues(bad)
 
     def test_lower_triangle_asymmetry_converges(self):
         """A matrix Hermitian within the 1e-10 acceptance tolerance but
