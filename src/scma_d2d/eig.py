@@ -1,14 +1,17 @@
 """Cyclic Jacobi eigensolver for complex Hermitian and real symmetric
-matrices.
+matrices.  Matrices here are tiny (K <= 8), where Jacobi's simplicity and
+unconditional convergence beat any fancier scheme.
 
-A rotation zeroes the upper entry q_pr = |q_pr| e (|e| = 1) of the n x n
-matrix itself: [[c, -s e], [s conj(e), c]] acts on rows p and r and its
+A sweep visits each upper-triangle entry q_pr = |q_pr| e (p < r, |e| = 1)
+and rotates when |q_pr| exceeds 1e-12 times the Frobenius norm of Q: the
+unitary [[c, -s e], [s conj(e), c]] acts on rows p and r, and its
 conjugate transpose on columns p and r, with (c, s) the real Jacobi
-rotation of the 2 x 2 block whose off-diagonal is |q_pr|.  On a real
-matrix e = +-1 and this is classic real Jacobi.  Matrices here are tiny
-(K <= 8), where Jacobi's simplicity and unconditional convergence beat
-any fancier scheme; the sweeps run on nested lists of Python numbers, as
-a numpy call per row costs far more than the arithmetic it does.
+rotation for theta = (Re q_rr - Re q_pp) / (2 |q_pr|).  At theta = 0 both
+t = +-1 zero the entry; t = copysign(1, Re e) makes s e = c, so on a real
+matrix (e = +-1) every entry rounds as in real Jacobi with its t = 1.  The
+eigenvalues are the sorted real parts of the final diagonal.  The sweeps
+run on nested lists of Python numbers: at these sizes a numpy call per
+row costs far more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -46,15 +49,10 @@ def _frobenius_norm(a):
 
 
 def _sweeps(a, thresh, max_sweeps):
-    """Ascending real parts of the diagonal that cyclic Jacobi rotations
-    leave in the square nested list a (rotated in place).
-
-    Sweeps rotate every pair (p, r), p < r, whose entry a[p][r] exceeds
-    thresh in magnitude, until a sweep finds none.  Only the upper
-    triangle is tested: a rotation zeroes both a[p][r] and a[r][p], and a
-    lower entry that no rotation reaches (an input Hermitian only up to
-    rounding) is no reason to sweep again.
-    """
+    """Sorted real parts of the diagonal of the square nested list a,
+    rotated in place until a sweep finds no upper entry above thresh.  A
+    rotation zeroes both a[p][r] and a[r][p]; a lower entry that none
+    reaches (an input Hermitian only up to rounding) is never tested."""
     n = len(a)
     for _ in range(max_sweeps):
         rotated = False
@@ -70,8 +68,6 @@ def _sweeps(a, thresh, max_sweeps):
                 e = apr / mag
                 theta = (row_r[r].real - row_p[p].real) / (2.0 * mag)
                 if theta == 0.0:
-                    # both roots of t^2 = 1 zero the entry; this one
-                    # gives s e = c on a real matrix, as real Jacobi's t = 1
                     t = math.copysign(1.0, e.real)
                 else:
                     t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
@@ -96,11 +92,8 @@ def _sweeps(a, thresh, max_sweeps):
 
 
 def jacobi_eigenvalues(a, off_diag_rel_tol=1e-12, max_sweeps=60):
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, ascending.
-
-    Pairs are rotated while an upper-triangle entry exceeds
-    off_diag_rel_tol times the Frobenius norm of the input in magnitude.
-    """
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, ascending,
+    rotating entries above off_diag_rel_tol times its Frobenius norm."""
     a = _square(a, float)
     return _sweeps(a.tolist(), off_diag_rel_tol * _frobenius_norm(a), max_sweeps)
 

@@ -579,7 +579,6 @@ def test_record_writes_only_named_files(tmp_path):
         record(tmp_path, ["rates.csv"])
 
 
-
 def test_report_changes_per_column_and_case(tmp_path):
     (tmp_path / "old.csv").write_text("seed,lower,upper\n0,1.0,2.0\n1,4.0,8.0\n")
     (tmp_path / "new.csv").write_text("seed,lower,upper\n0,1.0,2.5\n1,4.0,7.0\n")
