@@ -89,8 +89,8 @@ EXACT_COLUMNS = {"seed", "iteration", "converged", "feasible", "sweep_dbm",
 RATE_COLUMNS = {"proposed_bits", "sum_rate_bits", "mean_sum_rate_proposed"}
 
 CSV_FILES = ("compare_jd2.csv", "sweep_cell_jd1.csv", "sweep_cell_jd1_summary.csv",
-             "convergence_jd1.csv", "convergence_jd2.csv", "solver_trace_seed0.csv",
-             "bounds_jd1.csv")
+             "sweep_d2d_jd2.csv", "sweep_d2d_jd2_summary.csv", "convergence_jd1.csv",
+             "convergence_jd2.csv", "solver_trace_seed0.csv", "bounds_jd1.csv")
 DRAWS_FILE = "baseline_draws_jd2.json"
 START_FILE = "feasible_start_jd4.json"
 PRODUCTS_FILE = "products_seed0.json"
@@ -113,6 +113,15 @@ def _record_sweep(out_dir):
         "sweep_cellular_cap", ScenarioConfig(J_D=1, seed=0),
         str(out_dir / "sweep_cell_jd1.csv"), num_seeds=5,
         sweep_values_dbm=(26.0, 30.0)))
+
+
+def _record_sweep_d2d(out_dir):
+    """The D2D cap sweep; every seed is infeasible at -80 dBm, so the
+    detail rows there have empty rates and the summary row empty means."""
+    run_sweep(ExperimentSpec(
+        "sweep_d2d_cap", ScenarioConfig(J_D=2, seed=0),
+        str(out_dir / "sweep_d2d_jd2.csv"), num_seeds=3,
+        sweep_values_dbm=(-80.0, 30.0)))
 
 
 def _record_convergence(out_dir):
@@ -341,6 +350,7 @@ def _record_eigenvalues(out_dir):
 RECORDERS = (
     (("compare_jd2.csv",), _record_compare),
     (("sweep_cell_jd1.csv", "sweep_cell_jd1_summary.csv"), _record_sweep),
+    (("sweep_d2d_jd2.csv", "sweep_d2d_jd2_summary.csv"), _record_sweep_d2d),
     (("convergence_jd1.csv", "convergence_jd2.csv"), _record_convergence),
     (("bounds_jd1.csv",), _record_bounds),
     ((DRAWS_FILE,), _record_draws),
