@@ -19,6 +19,7 @@ shared-geometry comparisons stay paired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -121,18 +122,27 @@ class ScenarioConfig:
             raise ConfigError(f"J_D = {self.J_D} exceeds the K = {self.K} subcarriers")
         if self.N > self.K:
             raise ConfigError("N must not exceed K")
-        if not self.bandwidth_hz > 0:
-            raise ConfigError("bandwidth_hz must be positive")
-        if not self.cell_radius_m > 0:
-            raise ConfigError("cell_radius_m must be positive")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ConfigError("bandwidth_hz must be positive and finite")
+        if not 0.0 < self.cell_radius_m < math.inf:
+            raise ConfigError("cell_radius_m must be positive and finite")
         lo, hi = self.d2d_distance_range_m
-        if not (1.0 <= lo <= hi):
-            raise ConfigError("d2d_distance_range_m must satisfy 1 <= min <= max")
-        for name in ("noise_dbm_per_hz", "cellular_power_cap_dbm",
-                     "d2d_power_cap_dbm", "cellular_sinr_floor_db",
-                     "d2d_sinr_floor_db"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        if not (1.0 <= lo <= hi < math.inf):
+            raise ConfigError("d2d_distance_range_m must satisfy 1 <= min <= max < inf")
+        # every dB or dBm field must give a positive, finite linear value; a
+        # finite one can still overflow or underflow on the way
+        for name, linear in (("noise_dbm_per_hz", "noise_power_w"),
+                             ("cellular_power_cap_dbm", "cellular_power_cap_w"),
+                             ("d2d_power_cap_dbm", "d2d_power_cap_w"),
+                             ("cellular_sinr_floor_db", "cellular_sinr_floor"),
+                             ("d2d_sinr_floor_db", "d2d_sinr_floor")):
+            try:
+                value = getattr(self, linear)
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} = {getattr(self, name)!r} is out of range: "
+                                  f"{linear} must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         return self
@@ -279,11 +289,6 @@ def dump_channels_csv(ch: ChannelRealization, path) -> None:
 # ---------------------------------------------------------------------------
 # flat key-value config files ("key = value" per line, # starts a comment)
 
-_INT_FIELDS = {"J", "K", "N", "J_D", "seed"}
-_BOOL_FIELDS = {"report_bits_per_second"}
-_TUPLE_FIELDS = {"d2d_distance_range_m"}
-
-
 def parse_config(path) -> ScenarioConfig:
     """Read a scenario file; unspecified fields keep baseline defaults.
     Raises ConfigError with the offending line or field named."""
@@ -292,8 +297,25 @@ def parse_config(path) -> ScenarioConfig:
     return parse_config_text(text)
 
 
+def _parse_bool(val: str) -> bool:
+    if val.lower() not in ("true", "false", "0", "1"):
+        raise ValueError(val)
+    return val.lower() in ("true", "1")
+
+
+def _parse_pair(val: str) -> tuple:
+    parts = [p for p in val.replace(",", " ").split() if p]
+    if len(parts) != 2:
+        raise ValueError(val)
+    return float(parts[0]), float(parts[1])
+
+
+# declared field type (a string under postponed annotations) -> parser
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_pair}
+
+
 def parse_config_text(text: str) -> ScenarioConfig:
-    known = {f.name for f in fields(ScenarioConfig)}
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -303,22 +325,10 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
         try:
-            if key in _INT_FIELDS:
-                values[key] = int(val)
-            elif key in _BOOL_FIELDS:
-                if val.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(val)
-                values[key] = val.lower() in ("true", "1")
-            elif key in _TUPLE_FIELDS:
-                parts = [p for p in val.replace(",", " ").split() if p]
-                if len(parts) != 2:
-                    raise ValueError(val)
-                values[key] = (float(parts[0]), float(parts[1]))
-            else:
-                values[key] = float(val)
+            values[key] = _PARSERS[types[key]](val)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from None
     cfg = ScenarioConfig(**values)
@@ -330,9 +340,9 @@ def format_config(cfg: ScenarioConfig) -> str:
     lines = []
     for f in fields(ScenarioConfig):
         v = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
+        if f.type == "tuple":
             v = f"{v[0]!r},{v[1]!r}"
-        elif f.name in _BOOL_FIELDS:
+        elif f.type == "bool":
             v = "true" if v else "false"
         elif isinstance(v, float):
             v = repr(v)

@@ -15,24 +15,18 @@ from .allocation import AllocationSolverError
 from .channel import ConfigError, ScenarioConfig, parse_config
 from .experiments import (
     DEFAULT_SWEEP_DBM,
+    SWEEP_FIELDS,
     ExperimentSpec,
     run_experiment,
 )
 
-_SUBCOMMAND_KINDS = {
-    "convergence": "convergence",
-    "sweep-cell": "sweep_cellular_cap",
-    "sweep-d2d": "sweep_d2d_cap",
-    "bounds": "bound_validation",
-    "compare": "baseline_comparison",
-}
-
-_DEFAULT_SEEDS = {
-    "convergence": 1,
-    "sweep_cellular_cap": 50,
-    "sweep_d2d_cap": 50,
-    "bound_validation": 20,
-    "baseline_comparison": 50,
+# subcommand -> (experiment kind, default number of seeds)
+SUBCOMMANDS = {
+    "convergence": ("convergence", 1),
+    "sweep-cell": ("sweep_cellular_cap", 50),
+    "sweep-d2d": ("sweep_d2d_cap", 50),
+    "bounds": ("bound_validation", 20),
+    "compare": ("baseline_comparison", 50),
 }
 
 
@@ -42,12 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sum-rate experiments for an SCMA uplink sharing "
                     "subcarriers with D2D pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind in _SUBCOMMAND_KINDS.items():
+    for name, (kind, seeds) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {kind} experiment")
         p.add_argument("--config", help="scenario file (key = value lines); "
                                         "defaults apply for missing keys")
-        p.add_argument("--seeds", type=int, default=None,
-                       help="number of seeds (starting at the scenario seed)")
+        p.add_argument("--seeds", type=int, default=seeds,
+                       help="number of seeds (starting at the scenario seed; "
+                            f"default {seeds})")
         p.add_argument("--out", default=f"{kind}.csv", help="output CSV path")
         p.add_argument("--tmax", type=int, default=10,
                        help="iteration cap for the power allocator")
@@ -56,23 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "convergence":
             p.add_argument("--trace", action="store_true",
                            help="emit per-pass solver trace CSVs")
-        if name.startswith("sweep"):
+        if kind in SWEEP_FIELDS:
             p.add_argument("--sweep-dbm", default=None,
                            help="comma-separated cap values in dBm "
                                 "(default 24,26,28,30,32)")
     return parser
 
 
-def _load_scenario(args) -> ScenarioConfig:
-    cfg = parse_config(args.config) if args.config else ScenarioConfig()
-    if args.jd is not None:
-        cfg = dataclasses.replace(cfg, J_D=args.jd)
-    cfg.validate()
-    return cfg
-
-
-def _sweep_values(args):
-    raw = getattr(args, "sweep_dbm", None)
+def _sweep_values(raw):
     if raw is None:
         return DEFAULT_SWEEP_DBM
     try:
@@ -86,19 +72,21 @@ def _sweep_values(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    kind = _SUBCOMMAND_KINDS[args.command]
+    kind = SUBCOMMANDS[args.command][0]
     try:
-        scenario = _load_scenario(args)
+        scenario = parse_config(args.config) if args.config else ScenarioConfig()
+        if args.jd is not None:
+            scenario = dataclasses.replace(scenario, J_D=args.jd)
         spec = ExperimentSpec(
             kind=kind,
             scenario=scenario,
             output_path=args.out,
-            num_seeds=args.seeds if args.seeds is not None else _DEFAULT_SEEDS[kind],
-            sweep_values_dbm=_sweep_values(args) if kind.startswith("sweep") else (),
+            num_seeds=args.seeds,
+            sweep_values_dbm=(_sweep_values(args.sweep_dbm)
+                              if kind in SWEEP_FIELDS else ()),
             t_max=args.tmax,
             trace_solver=getattr(args, "trace", False),
-        )
-        spec.validate()
+        ).validate()
     except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -123,7 +111,7 @@ def _report(kind, result):
             tag = "converged" if trace.converged else "cap reached"
             print(f"  seed {seed}: {trace.iterations_used} pass(es), {tag}, "
                   f"final sum rate {trace.final.sum_rate_bits:.4f}")
-    elif kind.startswith("sweep"):
+    elif kind in SWEEP_FIELDS:
         print(f"wrote {result.detail_path} and {result.summary_path}")
         for row in result.rows:
             print(f"  {row.sweep_value_dbm:g} dBm: proposed "

@@ -41,10 +41,11 @@ from .channel import (
 )
 from .factor_graph import build_factor_graph, covariance_split, random_skeleton
 
-KINDS = ("convergence", "sweep_cellular_cap", "sweep_d2d_cap",
-         "bound_validation", "baseline_comparison")
-
 DEFAULT_SWEEP_DBM = (24.0, 26.0, 28.0, 30.0, 32.0)
+
+# sweep experiment kind -> the scenario field it sweeps
+SWEEP_FIELDS = {"sweep_cellular_cap": "cellular_power_cap_dbm",
+                "sweep_d2d_cap": "d2d_power_cap_dbm"}
 
 
 @dataclass
@@ -58,9 +59,10 @@ class ExperimentSpec:
     trace_solver: bool = False
 
     def validate(self):
-        if self.kind not in KINDS:
+        if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.kind.startswith("sweep") and not self.sweep_values_dbm:
+        cap_field = SWEEP_FIELDS.get(self.kind)
+        if cap_field and not self.sweep_values_dbm:
             raise ValueError("sweep experiments need a non-empty sweep list")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be at least 1")
@@ -72,6 +74,8 @@ class ExperimentSpec:
         if out.is_dir():
             raise ValueError(f"output path {self.output_path!r} is a directory")
         self.scenario.validate()
+        for value in self.sweep_values_dbm if cap_field else ():
+            dataclasses.replace(self.scenario, **{cap_field: value}).validate()
         return self
 
 
@@ -95,36 +99,66 @@ class SweepResult:
         return all(r.num_seeds_used == 0 for r in self.rows)
 
 
-def _seeds(spec: ExperimentSpec):
-    return range(spec.scenario.seed, spec.scenario.seed + spec.num_seeds)
+def _setup(spec: ExperimentSpec):
+    """Validate spec; its scenario, factor graph and default occupancy."""
+    spec.validate()
+    cfg = spec.scenario
+    return cfg, build_factor_graph(cfg.K, cfg.J, cfg.N), default_occupancy(cfg.J_D)
 
 
-def _draw(cfg: ScenarioConfig, seed: int):
-    streams = rng_streams(seed)
-    geo = sample_geometry(cfg, streams.geometry)
-    ch = sample_channels(cfg, geo, streams.fading)
-    return streams, ch
+def _runs(spec: ExperimentSpec, **fields):
+    """(scenario, random streams, channels) of each seed of spec, with
+    fields replacing scenario fields."""
+    for seed in range(spec.scenario.seed, spec.scenario.seed + spec.num_seeds):
+        cfg = dataclasses.replace(spec.scenario, seed=seed, **fields)
+        streams = rng_streams(seed)
+        geo = sample_geometry(cfg, streams.geometry)
+        yield cfg, streams, sample_channels(cfg, geo, streams.fading)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
 
 
-def _paired_rates(run_cfg: ScenarioConfig, graph, occupancy, t_max):
-    """Scaled (proposed, random) sum rates on the channels of run_cfg.seed,
-    or None when the QoS floors are jointly infeasible or the random
-    baseline finds no feasible draw."""
-    streams, ch = _draw(run_cfg, run_cfg.seed)
+def _write_csv(path, header, rows):
+    """header and then each row, comma-separated: a float as repr(float),
+    None as an empty cell, anything else through str."""
+    Path(path).write_text("".join(
+        ",".join(map(_cell, row)) + "\n" for row in [header, *rows]))
+
+
+def _paired_rates(cfg: ScenarioConfig, streams, ch, graph, occupancy, t_max):
+    """Scaled (proposed, random) sum rates on channels ch, or None when the
+    QoS floors are jointly infeasible or the random baseline finds no
+    feasible draw."""
     try:
-        trace = allocate(run_cfg, ch, graph, occupancy, t_max=t_max)
+        trace = allocate(cfg, ch, graph, occupancy, t_max=t_max)
     except InfeasibleScenarioError:
         return None
-    draw = random_baseline(run_cfg, ch, graph, occupancy, streams.baseline)
+    draw = random_baseline(cfg, ch, graph, occupancy, streams.baseline)
     if not draw.feasible:
         return None
-    scale = run_cfg.rate_scale
-    return (trace.final.sum_rate_bits * scale,
-            sum_rate(ch, graph, occupancy, draw.allocation) * scale)
+    return (trace.final.sum_rate_bits * cfg.rate_scale,
+            sum_rate(ch, graph, occupancy, draw.allocation) * cfg.rate_scale)
+
+
+def _paired_runs(spec: ExperimentSpec, graph, occupancy, **fields):
+    """Proposed and random sum rates on every seed of spec, with fields
+    replacing scenario fields.  Returns the detail rows (seed, proposed,
+    random, feasible flag), rates None on an infeasible seed, and the
+    summary (mean proposed, mean random, infeasible, used), means nan
+    when no seed is used."""
+    rows = []
+    for cfg, streams, ch in _runs(spec, **fields):
+        rates = _paired_rates(cfg, streams, ch, graph, occupancy, spec.t_max)
+        rows.append((cfg.seed, *(rates or (None, None)), int(rates is not None)))
+    used = [row[1:3] for row in rows if row[3]]
+    means = [float(np.mean(v)) for v in zip(*used)] if used else [np.nan, np.nan]
+    return rows, (*means, len(rows) - len(used), len(used))
 
 
 @dataclass
@@ -143,34 +177,25 @@ def _write_solver_traces(output_path, seed, trace):
     per centering of that pass's GP solve."""
     stem = str(Path(output_path).with_suffix(""))
     for it, point in enumerate(trace.points):
-        lines = ["outer_iteration,t,objective,gap"]
-        for outer, (t, _, f0, gap) in enumerate(point.solver.path):
-            lines.append(f"{outer},{_fmt(t)},{_fmt(f0)},{_fmt(gap)}")
-        Path(f"{stem}_solver_seed{seed}_pass{it}.csv").write_text(
-            "\n".join(lines) + "\n")
+        _write_csv(f"{stem}_solver_seed{seed}_pass{it}.csv",
+                   ["outer_iteration", "t", "objective", "gap"],
+                   [(outer, t, f0, gap)
+                    for outer, (t, _, f0, gap) in enumerate(point.solver.path)])
 
 
 def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     """One allocator trace per seed; rows hold per-variable powers (watts
     and dBm) and the sum rate at every pass, pass 0 being the start."""
-    spec.validate()
-    cfg = spec.scenario
-    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
-    occupancy = default_occupancy(cfg.J_D)
+    cfg, graph, occupancy = _setup(spec)
     names, cell_vars = variable_registry(graph, cfg.J_D)
-    scale = cfg.rate_scale
-
-    header = ["seed", "iteration"]
-    for n in names:
-        header += [f"{n}_w", f"{n}_dbm"]
-    header += ["sum_rate_bits", "converged"]
-
+    header = ["seed", "iteration",
+              *(f"{n}_{unit}" for n in names for unit in ("w", "dbm")),
+              "sum_rate_bits", "converged"]
     traces = {}
     infeasible = []
-    lines = [",".join(header)]
-    for seed in _seeds(spec):
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        _, ch = _draw(run_cfg, seed)
+    rows = []
+    for run_cfg, _, ch in _runs(spec):
+        seed = run_cfg.seed
         try:
             trace = allocate(run_cfg, ch, graph, occupancy, t_max=spec.t_max)
         except InfeasibleScenarioError:
@@ -180,16 +205,12 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
         if spec.trace_solver:
             _write_solver_traces(spec.output_path, seed, trace)
         allocs = [trace.initial_powers] + [p.powers for p in trace.points]
-        rates = trace.rates()
-        for it, (alloc, rate) in enumerate(zip(allocs, rates)):
-            cells = [str(seed), str(it)]
+        for it, (alloc, rate) in enumerate(zip(allocs, trace.rates())):
+            row = [seed, it]
             for v in pack_allocation(cell_vars, alloc):
-                cells.append(_fmt(v))
-                cells.append(_fmt(watts_to_dbm(v)) if v > 0 else "-inf")
-            cells.append(_fmt(rate * scale))
-            cells.append("1" if trace.converged else "0")
-            lines.append(",".join(cells))
-    Path(spec.output_path).write_text("\n".join(lines) + "\n")
+                row += [v, watts_to_dbm(v) if v > 0 else "-inf"]
+            rows.append(row + [rate * cfg.rate_scale, int(trace.converged)])
+    _write_csv(spec.output_path, header, rows)
     return ConvergenceResult(spec.output_path, traces, infeasible)
 
 
@@ -200,50 +221,25 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     sweep value; only the swept cap, and with it the half-cap start and
     the cap constraints, changes.
     """
-    spec.validate()
-    cap_field = ("cellular_power_cap_dbm" if spec.kind == "sweep_cellular_cap"
-                 else "d2d_power_cap_dbm")
-    cfg = spec.scenario
-    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
-    occupancy = default_occupancy(cfg.J_D)
-
-    detail_path = spec.output_path
+    _, graph, occupancy = _setup(spec)
+    cap_field = SWEEP_FIELDS[spec.kind]
+    detail, rows = [], []
+    for value in map(float, spec.sweep_values_dbm):
+        seed_rows, summary = _paired_runs(spec, graph, occupancy, **{cap_field: value})
+        detail += [(value, *row) for row in seed_rows]
+        rows.append(SweepRow(value, *summary))
     summary_path = str(Path(spec.output_path).with_suffix("")) + "_summary.csv"
-    detail = ["sweep_dbm,seed,proposed_bits,random_bits,feasible"]
-    rows = []
-    for value in spec.sweep_values_dbm:
-        proposed, random_rates = [], []
-        infeasible = 0
-        for seed in _seeds(spec):
-            run_cfg = dataclasses.replace(cfg, seed=seed, **{cap_field: value})
-            rates = _paired_rates(run_cfg, graph, occupancy, spec.t_max)
-            if rates is None:
-                infeasible += 1
-                detail.append(f"{_fmt(value)},{seed},,,0")
-                continue
-            p_rate, r_rate = rates
-            proposed.append(p_rate)
-            random_rates.append(r_rate)
-            detail.append(f"{_fmt(value)},{seed},{_fmt(p_rate)},{_fmt(r_rate)},1")
-        used = len(proposed)
-        rows.append(SweepRow(
-            sweep_value_dbm=value,
-            mean_sum_rate_proposed=float(np.mean(proposed)) if used else np.nan,
-            mean_sum_rate_random=float(np.mean(random_rates)) if used else np.nan,
-            num_infeasible_draws=infeasible,
-            num_seeds_used=used,
-        ))
-    Path(detail_path).write_text("\n".join(detail) + "\n")
-    summary = ["sweep_dbm,mean_sum_rate_proposed,mean_sum_rate_random,"
-               "num_infeasible_draws,num_seeds_used"]
-    for r in rows:
-        summary.append(",".join([
-            _fmt(r.sweep_value_dbm),
-            _fmt(r.mean_sum_rate_proposed) if r.num_seeds_used else "",
-            _fmt(r.mean_sum_rate_random) if r.num_seeds_used else "",
-            str(r.num_infeasible_draws), str(r.num_seeds_used)]))
-    Path(summary_path).write_text("\n".join(summary) + "\n")
-    return SweepResult(rows, detail_path, summary_path)
+    _write_csv(spec.output_path,
+               ["sweep_dbm", "seed", "proposed_bits", "random_bits", "feasible"],
+               detail)
+    _write_csv(summary_path,
+               ["sweep_dbm", "mean_sum_rate_proposed", "mean_sum_rate_random",
+                "num_infeasible_draws", "num_seeds_used"],
+               [(r.sweep_value_dbm,
+                 *((r.mean_sum_rate_proposed, r.mean_sum_rate_random)
+                   if r.num_seeds_used else (None, None)),
+                 r.num_infeasible_draws, r.num_seeds_used) for r in rows])
+    return SweepResult(rows, spec.output_path, summary_path)
 
 
 @dataclass
@@ -265,17 +261,10 @@ def run_bound_validation(spec: ExperimentSpec) -> BoundValidationResult:
     relative slack of 1e-9 (the physical scales here are far below an
     absolute 1e-9).
     """
-    spec.validate()
-    cfg = spec.scenario
-    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
-    occupancy = default_occupancy(cfg.J_D)
-
-    lines = ["seed,k,lower,exact_eig,upper,exact_capacity_bits,capacity_upper_bits"]
+    cfg, graph, occupancy = _setup(spec)
+    rows = []
     violations = 0
-    num_rows = 0
-    for seed in _seeds(spec):
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        streams, ch = _draw(run_cfg, seed)
+    for run_cfg, streams, ch in _runs(spec):
         skel = random_skeleton(graph, streams.skeleton,
                                per_user_power_w=cfg.cellular_power_cap_w)
         splits = [covariance_split(skel, j) for j in range(cfg.J)]
@@ -285,15 +274,16 @@ def run_bound_validation(spec: ExperimentSpec) -> BoundValidationResult:
         report = bound_report(ch, splits, noise)
         slack = 1e-9 * float(np.abs(report.eigenvalues).max())
         for k, lam, lo, hi in report.rows():
-            num_rows += 1
             if lam < lo - slack or lam > hi + slack:
                 violations += 1
-            lines.append(f"{seed},{k},{_fmt(lo)},{_fmt(lam)},{_fmt(hi)},"
-                         f"{_fmt(report.exact_bits)},{_fmt(report.upper_bits)}")
+            rows.append((run_cfg.seed, k, lo, lam, hi, report.exact_bits,
+                         report.upper_bits))
         if report.exact_bits > report.upper_bits + 1e-9:
             violations += 1
-    Path(spec.output_path).write_text("\n".join(lines) + "\n")
-    return BoundValidationResult(spec.output_path, num_rows, violations)
+    _write_csv(spec.output_path,
+               ["seed", "k", "lower", "exact_eig", "upper", "exact_capacity_bits",
+                "capacity_upper_bits"], rows)
+    return BoundValidationResult(spec.output_path, len(rows), violations)
 
 
 @dataclass
@@ -311,41 +301,22 @@ class ComparisonResult:
 
 def run_baseline_comparison(spec: ExperimentSpec) -> ComparisonResult:
     """Proposed vs feasible-random sum rate at fixed caps."""
-    spec.validate()
-    cfg = spec.scenario
-    graph = build_factor_graph(cfg.K, cfg.J, cfg.N)
-    occupancy = default_occupancy(cfg.J_D)
-    lines = ["seed,proposed_bits,random_bits,feasible"]
-    proposed, random_rates = [], []
-    infeasible = 0
-    for seed in _seeds(spec):
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        rates = _paired_rates(run_cfg, graph, occupancy, spec.t_max)
-        if rates is None:
-            infeasible += 1
-            lines.append(f"{seed},,,0")
-            continue
-        p_rate, r_rate = rates
-        proposed.append(p_rate)
-        random_rates.append(r_rate)
-        lines.append(f"{seed},{_fmt(p_rate)},{_fmt(r_rate)},1")
-    Path(spec.output_path).write_text("\n".join(lines) + "\n")
-    used = len(proposed)
-    return ComparisonResult(
-        output_path=spec.output_path,
-        mean_proposed=float(np.mean(proposed)) if used else np.nan,
-        mean_random=float(np.mean(random_rates)) if used else np.nan,
-        num_infeasible=infeasible,
-        num_seeds_used=used,
-    )
+    _, graph, occupancy = _setup(spec)
+    rows, summary = _paired_runs(spec, graph, occupancy)
+    _write_csv(spec.output_path,
+               ["seed", "proposed_bits", "random_bits", "feasible"], rows)
+    return ComparisonResult(spec.output_path, *summary)
+
+
+# experiment kind -> runner
+RUNNERS = {
+    "convergence": run_convergence,
+    "sweep_cellular_cap": run_sweep,
+    "sweep_d2d_cap": run_sweep,
+    "bound_validation": run_bound_validation,
+    "baseline_comparison": run_baseline_comparison,
+}
 
 
 def run_experiment(spec: ExperimentSpec):
-    runner = {
-        "convergence": run_convergence,
-        "sweep_cellular_cap": run_sweep,
-        "sweep_d2d_cap": run_sweep,
-        "bound_validation": run_bound_validation,
-        "baseline_comparison": run_baseline_comparison,
-    }[spec.kind]
-    return runner(spec)
+    return RUNNERS[spec.kind](spec)

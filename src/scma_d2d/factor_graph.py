@@ -36,7 +36,7 @@ class FactorGraph:
         ind = np.asarray(self.indicator, dtype=int)
         if ind.shape != (self.K, self.J):
             raise DimensionError(f"indicator shape {ind.shape} != ({self.K}, {self.J})")
-        if not np.isin(ind, (0, 1)).all():
+        if not ((ind == 0) | (ind == 1)).all():
             raise DimensionError("indicator entries must be 0 or 1")
         col_sums = ind.sum(axis=0)
         if not (col_sums == self.N).all():
@@ -140,7 +140,7 @@ class CodebookSkeleton:
         for v in self.selectors:
             if v.shape[1] != n:
                 raise DimensionError("selector column count must equal N")
-            if not ((v.sum(axis=0) == 1).all() and np.isin(v, (0, 1)).all()):
+            if not ((v.sum(axis=0) == 1).all() and ((v == 0) | (v == 1)).all()):
                 raise DimensionError("each selector column must have exactly one 1")
         if self.qam_covariance.shape != (len(self.selectors), 2 * n):
             raise DimensionError("qam_covariance must be J x 2N")

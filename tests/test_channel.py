@@ -163,6 +163,25 @@ class TestChannels:
         assert complex(float(first[3]), float(first[4])) == ch.cell_to_bs[0, 0]
 
 
+class TestScenarioRanges:
+    @pytest.mark.parametrize("field, value", [
+        ("noise_dbm_per_hz", 1e6), ("noise_dbm_per_hz", -1e6),
+        ("cellular_power_cap_dbm", 1e6), ("cellular_power_cap_dbm", -1e6),
+        ("d2d_power_cap_dbm", 1e6), ("d2d_power_cap_dbm", -1e6),
+        ("cellular_sinr_floor_db", 1e6), ("cellular_sinr_floor_db", -1e6),
+        ("d2d_sinr_floor_db", float("nan")), ("d2d_sinr_floor_db", float("inf")),
+        ("bandwidth_hz", float("inf")), ("cell_radius_m", float("inf")),
+        ("d2d_distance_range_m", (1.0, float("inf"))),
+    ])
+    def test_out_of_range_value_names_field(self, field, value):
+        """A dB or dBm value whose linear value overflows, underflows to
+        zero or is not finite is a ConfigError naming the field, never an
+        OverflowError."""
+        cfg = dataclasses.replace(ScenarioConfig(), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
+
 class TestConfigFiles:
     def test_defaults_applied(self, tmp_path):
         p = tmp_path / "one.cfg"

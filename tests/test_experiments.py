@@ -222,6 +222,28 @@ class TestCli:
         assert "is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("config, args", [
+        ("cellular_power_cap_dbm = 1e6\n", ["compare"]),
+        ("d2d_power_cap_dbm = -1e6\n", ["compare"]),
+        ("", ["sweep-cell", "--sweep-dbm", "nan"]),
+        ("", ["sweep-cell", "--sweep-dbm", "inf"]),
+        ("", ["sweep-cell", "--sweep-dbm", "1e6"]),
+    ])
+    def test_out_of_range_value_exits_two(self, tmp_path, capsys, monkeypatch,
+                                          config, args):
+        """A cap whose value in watts overflows, underflows to zero or is
+        not finite exits 2, naming the field, before any seed runs."""
+        monkeypatch.setattr(experiments, "allocate",
+                            lambda *args, **kwargs: pytest.fail("a seed ran"))
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main([*args, "--config", str(cfg), "--seeds", "1",
+                     "--out", str(out_dir / "o.csv")]) == 2
+        assert "power_cap_dbm" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_bad_sweep_list_exits_two(self, tmp_path):
         assert main(["sweep-cell", "--sweep-dbm", "abc",
                      "--out", str(tmp_path / "s.csv")]) == 2

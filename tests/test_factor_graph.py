@@ -61,6 +61,17 @@ class TestBuildFactorGraph:
         with pytest.raises(DimensionError):
             build_factor_graph(4, 4, 2)
 
+    def test_entries_other_than_zero_and_one_rejected(self):
+        """Entries 2 and -1 keep every column sum at N but are not 0/1."""
+        ind = REGULAR_4x6.copy()
+        ind[:, 0] = [2, 1, -1, 0]
+        with pytest.raises(DimensionError, match="0 or 1"):
+            FactorGraph(ind, 4, 6, 2)
+        skel = default_skeleton(build_factor_graph(2, 2, 1))
+        with pytest.raises(DimensionError, match="exactly one 1"):
+            CodebookSkeleton((np.array([[2], [-1]]), skel.selectors[1]),
+                             skel.rotation, skel.phases, skel.qam_covariance)
+
     def test_text_round_trip(self):
         g = build_factor_graph(4, 6, 2)
         again = FactorGraph.from_text(g.to_text())
