@@ -17,7 +17,9 @@ must match exactly, proposed rates to 1e-9 bits and powers to a relative
 iteration, barrier weight and gap, and to 1e-9 in the log objective; the
 phase-1 start's best log-slack to 1e-9 and its start vector to a relative
 1e-6.  The expanded numerator and denominator products must match bit for
-bit (term count and sha256 of the coefficient and exponent bytes); the
+bit (term count and sha256 of the coefficient and exponent bytes), and so
+must every factor and constraint that build_p2 returns, with its
+registry, for seeds 0-1 at J_D = 0..4 (p2_factors.json); the
 J_D = 4 allocations match in their per-pass rates to 1e-9 bits and their
 final powers to a relative 1e-6.  The Newton step count of every GP solve
 inside `allocate` at J_D = 1, 2 and 4 must match exactly, so a change to
@@ -94,6 +96,7 @@ CSV_FILES = ("compare_jd2.csv", "sweep_cell_jd1.csv", "sweep_cell_jd1_summary.cs
 DRAWS_FILE = "baseline_draws_jd2.json"
 START_FILE = "feasible_start_jd4.json"
 PRODUCTS_FILE = "products_seed0.json"
+P2_FILE = "p2_factors.json"
 ALLOCATE_FILE = "allocate_jd4.json"
 # seed 2 at J_D = 4 is certified infeasible (see START_FILE)
 ALLOCATE_SEEDS = (0, 1, 3)
@@ -193,22 +196,42 @@ def _record_feasible_starts(out_dir):
     (out_dir / START_FILE).write_text(json.dumps(starts, indent=1) + "\n")
 
 
+def _digest(p):
+    """Term count and sha256 of the coefficient and exponent bytes of p."""
+    return {"terms": len(p),
+            "coefficients_sha256": hashlib.sha256(p.coefficients.tobytes()).hexdigest(),
+            "exponents_sha256": hashlib.sha256(p.exponents.tobytes()).hexdigest()}
+
+
 def _record_products(out_dir):
-    """Term count and sha256 of the coefficient and exponent bytes of the
-    expanded numerator and denominator products at seed 0, J_D = 1..4."""
+    """_digest of the expanded numerator and denominator products at
+    seed 0, J_D = 1..4."""
     digests = {}
     for jd in (1, 2, 3, 4):
         cfg, graph, ch, occupancy = make_scenario(seed=0, jd=jd)
         p2 = build_p2(cfg, ch, graph, occupancy)
         digests[str(jd)] = {
-            side: {"terms": len(p),
-                   "coefficients_sha256":
-                       hashlib.sha256(p.coefficients.tobytes()).hexdigest(),
-                   "exponents_sha256":
-                       hashlib.sha256(p.exponents.tobytes()).hexdigest()}
+            side: _digest(p)
             for side, p in (("numerator", product(p2.numerator_factors)),
                             ("denominator", product(p2.denominator_factors)))}
     (out_dir / PRODUCTS_FILE).write_text(json.dumps(digests, indent=1) + "\n")
+
+
+def _record_p2_factors(out_dir):
+    """build_p2 for seeds 0-1 at J_D = 0..4: the registry, and the
+    _digest of every numerator factor, denominator factor and
+    constraint, in order."""
+    problems = {}
+    for seed in (0, 1):
+        for jd in range(5):
+            cfg, graph, ch, occupancy = make_scenario(seed=seed, jd=jd)
+            p2 = build_p2(cfg, ch, graph, occupancy)
+            problems[f"jd{jd}_seed{seed}"] = {
+                "registry": list(p2.registry),
+                **{side: [_digest(p) for p in getattr(p2, side)]
+                   for side in ("numerator_factors", "denominator_factors",
+                                "constraints")}}
+    (out_dir / P2_FILE).write_text(json.dumps(problems, indent=1) + "\n")
 
 
 def _record_allocations(out_dir):
@@ -357,6 +380,7 @@ RECORDERS = (
     (("solver_trace_seed0.csv",), _record_solver_traces),
     ((START_FILE,), _record_feasible_starts),
     ((PRODUCTS_FILE,), _record_products),
+    ((P2_FILE,), _record_p2_factors),
     ((ALLOCATE_FILE,), _record_allocations),
     ((NEWTON_FILE,), _record_newton_steps),
     ((EIG_FILE,), _record_eigenvalues),
@@ -520,6 +544,12 @@ def test_feasible_starts_match_golden(fresh):
 def test_products_match_golden(fresh):
     want = json.loads((FIXTURES / PRODUCTS_FILE).read_text())
     got = json.loads((fresh / PRODUCTS_FILE).read_text())
+    assert got == want
+
+
+def test_p2_factors_match_golden(fresh):
+    want = json.loads((FIXTURES / P2_FILE).read_text())
+    got = json.loads((fresh / P2_FILE).read_text())
     assert got == want
 
 
