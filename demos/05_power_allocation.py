@@ -26,7 +26,7 @@ geo = sample_geometry(cfg, streams.geometry)
 ch = sample_channels(cfg, geo, streams.fading)
 
 trace = allocate(cfg, ch, graph, occupancy)
-names, cell_vars = variable_registry(graph, cfg.J_D)
+names, _ = variable_registry(graph, cfg.J_D)
 
 print(f"{cfg.J} users, {cfg.K} subcarriers, {cfg.J_D} D2D pair; "
       f"caps {cfg.cellular_power_cap_dbm:.0f}/{cfg.d2d_power_cap_dbm:.0f} dBm")
@@ -38,7 +38,8 @@ for i, rate in enumerate(trace.rates()):
     print(f"  {tag:>7}: {rate:.6f}")
 
 print("\nfinal powers (dBm):")
-for name, watts in zip(names, pack_allocation(cell_vars, trace.final.powers)):
+final = trace.final.powers
+for name, watts in zip(names, pack_allocation(graph, final.cellular, final.d2d)):
     print(f"  {name:>6}: {watts_to_dbm(watts):7.2f}")
 
 draw = random_baseline(cfg, ch, graph, occupancy, streams.baseline)

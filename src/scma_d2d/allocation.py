@@ -21,16 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (
-    PowerAllocation,
-    check_occupancy,
-    closed_form_cellular_capacity,
-    d2d_capacity,
-    equivalent_noise,
-    tone_of_pair,
-)
+from .capacity import PowerAllocation, check_occupancy, tone_of_pair
 from .channel import ChannelRealization, ScenarioConfig
-from .factor_graph import FactorGraph, incidence_sets
+from .factor_graph import FactorGraph
 from .gp import (
     DUALITY_GAP_TOL,
     OPTIMAL,
@@ -40,6 +33,7 @@ from .gp import (
     solve,
 )
 from .posynomial import (
+    ConvexFormProblem,
     Monomial,
     Posynomial,
     condense,
@@ -79,127 +73,120 @@ class P2Problem:
     """Factored sum-rate objective and QoS/cap constraints in posynomial form."""
 
     registry: tuple
-    cell_vars: list            # (j, k) per cellular variable, registry order
-    n_pairs: int
     numerator_factors: list    # K tone factors then J_D pair factors
     denominator_factors: list  # same order, with signal terms added
     constraints: list          # C1 (per user-tone), C2 (per pair), C3, C4
 
-    @property
-    def n_variables(self):
-        return len(self.registry)
-
 
 def variable_registry(graph: FactorGraph, n_pairs: int):
-    """Names and (j, k) order for the optimization vector."""
-    inc = incidence_sets(graph)
-    cell_vars = [(j, k) for j in range(graph.J)
-                 for k in inc.subcarriers_of_user[j]]
+    """Names and (j, k) order for the optimization vector: the factor
+    graph's support in row-major (user, tone) order, then the pairs."""
+    cell_vars = [(int(j), int(k)) for j, k in zip(*np.nonzero(graph.indicator.T))]
     names = tuple(f"P_{j + 1}_{k + 1}" for j, k in cell_vars) + \
         tuple(f"Pd_{l + 1}" for l in range(n_pairs))
     return names, cell_vars
 
 
-def pack_allocation(cell_vars, alloc: PowerAllocation) -> np.ndarray:
-    """Powers in registry order: the cellular entries at cell_vars' (j, k),
-    then the D2D powers."""
-    x = [alloc.cellular[j, k] for j, k in cell_vars]
-    return np.array(x + list(alloc.d2d))
+def pack_allocation(graph: FactorGraph, cellular, d2d) -> np.ndarray:
+    """Powers in registry order: cellular (..., J, K) on the support, then
+    d2d (..., J_D); one allocation per row when they are batched."""
+    return np.concatenate([cellular[..., graph.indicator.T != 0], d2d], axis=-1)
 
 
-def unpack_allocation(p2: P2Problem, x, shape) -> PowerAllocation:
-    j_count, k_count = shape
-    cell = np.zeros((j_count, k_count))
-    for idx, (j, k) in enumerate(p2.cell_vars):
-        cell[j, k] = x[idx]
-    return PowerAllocation(cellular=cell, d2d=np.asarray(x[len(p2.cell_vars):]))
+def unpack_allocation(graph: FactorGraph, x) -> PowerAllocation:
+    support = graph.indicator.T != 0
+    cell = np.zeros(support.shape)
+    cell[support] = x[:support.sum()]
+    return PowerAllocation(cellular=cell, d2d=x[support.sum():])
+
+
+@dataclass(frozen=True)
+class Links:
+    """The interference graph of one channel draw over packed powers x.
+    Receiver k < K is the base station on tone k, receiver K + l pair l's.
+    Variable v's own link reaches receiver[v] with gain[v]; receiver r also
+    hears noise + cross[r] @ x (the pair on tone k at the base station,
+    the co-tone cellular users at a pair's receiver)."""
+
+    receiver: np.ndarray  # (n,) ints
+    gain: np.ndarray      # (n,) |h|^2 of each variable's own link
+    cross: np.ndarray     # (K + J_D, n) interference gains
+    noise: float          # thermal noise power, watts
+
+    def heard(self, x):
+        """Noise plus interference at every receiver (per row of x)."""
+        return self.noise + x @ self.cross.T
+
+
+def _power_gains(h):
+    """|h|^2 per entry, squared as a float like capacity's scalar forms do
+    (numpy's array square rounds about one entry in 1000 differently)."""
+    return np.array([v ** 2 for v in np.abs(h).ravel().tolist()]).reshape(h.shape)
+
+
+def link_model(ch: ChannelRealization, graph: FactorGraph, occupancy) -> Links:
+    """The Links record of channel draw ch."""
+    n_pairs = len(ch.d2d_pair)
+    check_occupancy(occupancy, graph.K, n_pairs)
+    j, k = np.nonzero(graph.indicator.T)   # the cellular variables
+    tones = np.array([tone_of_pair(occupancy, l) for l in range(n_pairs)], dtype=int)
+    cross = np.zeros((graph.K + n_pairs, len(j) + n_pairs))
+    cross[tones, len(j) + np.arange(n_pairs)] = _power_gains(ch.d2d_to_bs)
+    cross[graph.K:, :len(j)] = np.where(k == tones[:, None],
+                                        _power_gains(ch.cell_to_d2d)[j].T, 0.0)
+    return Links(receiver=np.concatenate([k, graph.K + np.arange(n_pairs)]),
+                 gain=np.concatenate([_power_gains(ch.cell_to_bs)[j, k],
+                                      _power_gains(ch.d2d_pair)]),
+                 cross=cross, noise=ch.noise_power_w)
+
+
+def _floors_and_caps(cfg: ScenarioConfig, graph: FactorGraph, links: Links):
+    """Each packed variable's SINR floor and power cap."""
+    cell = links.receiver < graph.K
+    return (np.where(cell, cfg.cellular_sinr_floor, cfg.d2d_sinr_floor),
+            np.where(cell, cfg.cellular_power_cap_w / graph.d_f, cfg.d2d_power_cap_w))
 
 
 def build_p2(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
              occupancy) -> P2Problem:
-    """Assemble the complementary-GP data for one channel realization."""
-    check_occupancy(occupancy, graph.K, cfg.J_D)
-    names, cell_vars = variable_registry(graph, cfg.J_D)
-    reg = names
-    inc = incidence_sets(graph)
-    n0 = ch.noise_power_w
-
-    def cell_power(j, k):
-        return f"P_{j + 1}_{k + 1}"
-
-    def pair_power(l):
-        return f"Pd_{l + 1}"
-
-    pair_of_tone = dict(occupancy)
-
-    tone_noise = []      # f_k: equivalent noise seen at the base station
-    tone_signal = []     # g_k: f_k plus colliding users' signal
-    for k in range(graph.K):
-        terms = [Monomial.from_powers(reg, n0)]
-        if k in pair_of_tone:
-            l = pair_of_tone[k]
-            terms.append(Monomial.from_powers(
-                reg, np.abs(ch.d2d_to_bs[l]) ** 2, {pair_power(l): 1}))
-        f_k = Posynomial.from_monomials(terms)
-        sig = [Monomial.from_powers(
-            reg, np.abs(ch.cell_to_bs[j, k]) ** 2, {cell_power(j, k): 1})
-            for j in inc.users_of_subcarrier[k]]
-        tone_noise.append(f_k)
-        tone_signal.append(Posynomial.from_monomials(list(f_k.terms) + sig))
-
-    pair_noise = []      # f'_l: noise plus cellular interference at the receiver
-    pair_signal = []     # g'_l: f'_l plus the pair's own signal
-    for l in range(cfg.J_D):
-        k = tone_of_pair(occupancy, l)
-        terms = [Monomial.from_powers(reg, n0)]
-        terms += [Monomial.from_powers(
-            reg, np.abs(ch.cell_to_d2d[j, l]) ** 2, {cell_power(j, k): 1})
-            for j in inc.users_of_subcarrier[k]]
-        f_l = Posynomial.from_monomials(terms)
-        own = Monomial.from_powers(
-            reg, np.abs(ch.d2d_pair[l]) ** 2, {pair_power(l): 1})
-        pair_noise.append(f_l)
-        pair_signal.append(Posynomial.from_monomials(list(f_l.terms) + [own]))
-
-    gamma_c = cfg.cellular_sinr_floor
-    gamma_d = cfg.d2d_sinr_floor
-    cap_cell = cfg.cellular_power_cap_w / graph.d_f
-    cap_d2d = cfg.d2d_power_cap_w
-
-    qos_cell = []        # C1: floor / SINR <= 1 per (user, tone)
-    for j, k in cell_vars:
-        gain = np.abs(ch.cell_to_bs[j, k]) ** 2
-        qos_cell.append(tone_noise[k] * Monomial.from_powers(
-            reg, gamma_c / gain, {cell_power(j, k): -1}))
-    qos_pair = []        # C2 per pair
-    for l in range(cfg.J_D):
-        gain = np.abs(ch.d2d_pair[l]) ** 2
-        qos_pair.append(pair_noise[l] * Monomial.from_powers(
-            reg, gamma_d / gain, {pair_power(l): -1}))
-    caps_cell = [Monomial.from_powers(reg, 1.0 / cap_cell,
-                                      {cell_power(j, k): 1}).as_posynomial()
-                 for j, k in cell_vars]
-    caps_d2d = [Monomial.from_powers(reg, 1.0 / cap_d2d,
-                                     {pair_power(l): 1}).as_posynomial()
-                for l in range(cfg.J_D)]
-
+    """Complementary-GP data for one channel realization: per receiver r,
+    f_r = noise + cross[r] @ x and g_r, f_r plus r's own signal; per
+    variable v, its QoS floor f_r * floor_v / (gain_v x_v) <= 1 (C1, C2)
+    and its cap x_v / cap_v <= 1 (C3, C4)."""
+    reg, _ = variable_registry(graph, cfg.J_D)
+    links = link_model(ch, graph, occupancy)
+    unit = np.eye(len(reg))
+    noise, signal = [], []
+    for r, cross in enumerate(links.cross):
+        heard = np.flatnonzero(cross)
+        own = np.flatnonzero(links.receiver == r)
+        coefficients = [links.noise, *cross[heard]]
+        exponents = [np.zeros(len(reg)), *unit[heard]]
+        noise.append(Posynomial(reg, coefficients, exponents))
+        signal.append(Posynomial(reg, coefficients + list(links.gain[own]),
+                                 exponents + list(unit[own])))
+    floors, caps = _floors_and_caps(cfg, graph, links)
     return P2Problem(
         registry=reg,
-        cell_vars=cell_vars,
-        n_pairs=cfg.J_D,
-        numerator_factors=tone_noise + pair_noise,
-        denominator_factors=tone_signal + pair_signal,
-        constraints=qos_cell + qos_pair + caps_cell + caps_d2d,
+        numerator_factors=noise,
+        denominator_factors=signal,
+        constraints=[noise[r] * Monomial(floor / gain, -e, reg) for r, floor, gain, e
+                     in zip(links.receiver, floors, links.gain, unit)]
+        + [Monomial(1.0 / cap, e, reg).as_posynomial() for cap, e in zip(caps, unit)],
     )
 
 
 def sum_rate(ch: ChannelRealization, graph: FactorGraph, occupancy,
              alloc: PowerAllocation) -> float:
-    """System sum rate in bits/s/Hz: cellular closed form plus D2D rates."""
+    """System sum rate in bits/s/Hz: log2(1 + signal / heard) summed over
+    the base station's tones, then over the pairs' receivers, the order
+    of capacity's closed forms."""
     alloc.check_support(graph)
-    noise = equivalent_noise(ch, alloc, occupancy)
-    return closed_form_cellular_capacity(ch, alloc, noise, graph) + \
-        d2d_capacity(ch, alloc, occupancy)
+    links = link_model(ch, graph, occupancy)
+    x = pack_allocation(graph, alloc.cellular, alloc.d2d)
+    signal = np.bincount(links.receiver, links.gain * x, len(links.cross))
+    rates = np.log2(1.0 + signal / links.heard(x))
+    return float(sum(rates[:graph.K]) + sum(rates[graph.K:]))
 
 
 def objective_sum_rate(p2: P2Problem, x) -> float:
@@ -246,17 +233,16 @@ class IterationTrace:
         return [self.initial_sum_rate_bits] + [p.sum_rate_bits for p in self.points]
 
 
-def feasible_start(cfg, graph, p2: P2Problem) -> np.ndarray:
-    """Packed starting vector: the half-cap point when it already meets the
-    QoS floors strictly, otherwise a phase-1 solution.  Raises
+def feasible_start(cfg, graph, problem: ConvexFormProblem) -> np.ndarray:
+    """Packed starting vector: the half-cap point when it already meets
+    problem's constraints strictly, otherwise a phase-1 solution.  Raises
     InfeasibleScenarioError when the constraint set is certified empty."""
-    cons = to_convex_form(Posynomial.constant(p2.registry, 1.0),
-                          constraints=p2.constraints)
-    x0 = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
-    packed = PackedConstraints(cons.constraint_exponents, cons.constraint_offsets)
+    half = initial_allocation(cfg, graph)
+    x0 = pack_allocation(graph, half.cellular, half.d2d)
+    packed = PackedConstraints(problem.constraint_exponents, problem.constraint_offsets)
     if packed.values(np.log(x0)).max() < 0:
         return x0
-    feas = find_feasible(cons)
+    feas = find_feasible(problem)
     if not feas.feasible:
         raise InfeasibleScenarioError(feas.max_slack)
     return np.exp(feas.y)
@@ -286,9 +272,8 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
                              constraints=p2.constraints)
     denominator = product(p2.denominator_factors)
 
-    x = feasible_start(cfg, graph, p2)
-    shape = (cfg.J, cfg.K)
-    start = unpack_allocation(p2, x, shape)
+    x = feasible_start(cfg, graph, problem)
+    start = unpack_allocation(graph, x)
     prev_rate = sum_rate(ch, graph, occupancy, start)
     trace = IterationTrace(initial_powers=start, initial_sum_rate_bits=prev_rate,
                            points=[], converged=False)
@@ -307,7 +292,7 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
             raise AllocationSolverError(f"pass {it + 1}: GP solve certified a gap "
                                         f"of only {res.certified_gap:.3e}", res)
         x, y, path = res.x, res.y, res.path
-        alloc = unpack_allocation(p2, x, shape)
+        alloc = unpack_allocation(graph, x)
         rate = sum_rate(ch, graph, occupancy, alloc)
         if rate < prev_rate - ASCENT_TOL_BITS:
             raise AllocationSolverError(f"pass {it + 1} lowered the sum rate by "
@@ -327,6 +312,16 @@ class BaselineDraw:
     draws_used: int
 
 
+def _violations(cfg: ScenarioConfig, graph: FactorGraph, links: Links, x):
+    """Largest floor_v * heard[receiver[v]] / (gain_v x_v) of each row of
+    packed powers x; inf when some signal is 0."""
+    floors, _ = _floors_and_caps(cfg, graph, links)
+    signal = links.gain * x
+    need = floors * links.heard(x)[:, links.receiver]
+    ratio = np.divide(need, signal, out=np.full(signal.shape, np.inf), where=signal > 0)
+    return ratio.max(axis=1, initial=0.0)
+
+
 def qos_violations(cfg: ScenarioConfig, ch: ChannelRealization,
                    graph: FactorGraph, occupancy, cellular, d2d) -> np.ndarray:
     """Largest floor/SINR ratio per allocation, over every cellular
@@ -334,23 +329,10 @@ def qos_violations(cfg: ScenarioConfig, ch: ChannelRealization,
     some SINR is 0.  A value <= 1 means every QoS floor holds.
 
     cellular is (R, J, K) and d2d is (R, J_D): R allocations in rows.
-    Vectorized form of capacity.cellular_sinr and capacity.d2d_sinr.
+    The SINRs come from link_model, as build_p2's and sum_rate's do.
     """
-    k_count = ch.cell_to_bs.shape[1]
-    check_occupancy(occupancy, k_count, len(ch.d2d_to_bs))
-    noise = np.full((len(d2d), k_count), ch.noise_power_w)
-    for k, l in occupancy.items():
-        noise[:, k] += np.abs(ch.d2d_to_bs[l]) ** 2 * d2d[:, l]
-    cell = np.abs(ch.cell_to_bs) ** 2 * cellular / noise[:, None, :]
-    cell = cell[:, graph.indicator.T != 0]
-    tones = [tone_of_pair(occupancy, l) for l in range(cfg.J_D)]
-    interference = (np.abs(ch.cell_to_d2d) ** 2 * cellular[:, :, tones]).sum(axis=1)
-    pair = np.abs(ch.d2d_pair) ** 2 * d2d / (ch.noise_power_w + interference)
-    sinr = np.concatenate([cell, pair], axis=1)
-    floors = np.repeat([cfg.cellular_sinr_floor, cfg.d2d_sinr_floor],
-                       [cell.shape[1], pair.shape[1]])
-    ratio = np.divide(floors, sinr, out=np.full(sinr.shape, np.inf), where=sinr > 0)
-    return ratio.max(axis=1, initial=0.0)
+    return _violations(cfg, graph, link_model(ch, graph, occupancy),
+                       pack_allocation(graph, cellular, d2d))
 
 
 def qos_violation(cfg: ScenarioConfig, ch: ChannelRealization,
@@ -372,17 +354,16 @@ def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
     """
     if max_resample < 1:
         raise ValueError(f"max_resample must be at least 1, got {max_resample}")
-    cap_cell = cfg.cellular_power_cap_w / graph.d_f
-    cap_d2d = cfg.d2d_power_cap_w
     n_cell = cfg.J * cfg.K
     # all max_resample draws as rows of one block: the same numbers as
     # drawing them one after another
     saved = rng.bit_generator.state
-    block = rng.uniform(size=(max_resample, n_cell + cfg.J_D))
-    cell = (1.0 - block[:, :n_cell].reshape(-1, cfg.J, cfg.K)) * cap_cell \
-        * graph.indicator.T
-    d2d = (1.0 - block[:, n_cell:]) * cap_d2d
-    violation = qos_violations(cfg, ch, graph, occupancy, cell, d2d)
+    block = 1.0 - rng.uniform(size=(max_resample, n_cell + cfg.J_D))
+    links = link_model(ch, graph, occupancy)
+    _, caps = _floors_and_caps(cfg, graph, links)
+    x = pack_allocation(graph, block[:, :n_cell].reshape(-1, cfg.J, cfg.K),
+                        block[:, n_cell:]) * caps
+    violation = _violations(cfg, graph, links, x)
     met = np.flatnonzero(violation <= 1.0)
     feasible = met.size > 0
     row = int(met[0]) if feasible else int(np.argmin(violation))
@@ -391,5 +372,4 @@ def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
         # hand the caller's generator back as if only `used` draws were made
         rng.bit_generator.state = saved
         rng.uniform(size=(used, n_cell + cfg.J_D))
-    return BaselineDraw(PowerAllocation(cellular=cell[row], d2d=d2d[row]),
-                        feasible, used)
+    return BaselineDraw(unpack_allocation(graph, x[row]), feasible, used)

@@ -96,37 +96,11 @@ def main(argv=None) -> int:
     except AllocationSolverError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    _report(kind, result)
+    print(result.summary())
     if result.all_infeasible:
         print("error: every seed produced an infeasible scenario", file=sys.stderr)
         return 3
     return 0
-
-
-def _report(kind, result):
-    if kind == "convergence":
-        print(f"wrote {result.output_path}: {len(result.traces)} trace(s), "
-              f"{len(result.infeasible_seeds)} infeasible seed(s)")
-        for seed, trace in result.traces.items():
-            tag = "converged" if trace.converged else "cap reached"
-            print(f"  seed {seed}: {trace.iterations_used} pass(es), {tag}, "
-                  f"final sum rate {trace.final.sum_rate_bits:.4f}")
-    elif kind in SWEEP_FIELDS:
-        print(f"wrote {result.detail_path} and {result.summary_path}")
-        for row in result.rows:
-            print(f"  {row.sweep_value_dbm:g} dBm: proposed "
-                  f"{row.mean_sum_rate_proposed:.4f}, random "
-                  f"{row.mean_sum_rate_random:.4f} "
-                  f"({row.num_seeds_used} seeds, "
-                  f"{row.num_infeasible_draws} infeasible)")
-    elif kind == "bound_validation":
-        print(f"wrote {result.output_path}: {result.num_rows} rows, "
-              f"{result.num_violations} violation(s)")
-    else:
-        print(f"wrote {result.output_path}: proposed {result.mean_proposed:.4f} "
-              f"vs random {result.mean_random:.4f} over "
-              f"{result.num_seeds_used} seeds "
-              f"({result.num_infeasible} infeasible)")
 
 
 if __name__ == "__main__":

@@ -74,6 +74,7 @@ class ExperimentSpec:
         if out.is_dir():
             raise ValueError(f"output path {self.output_path!r} is a directory")
         self.scenario.validate()
+        build_factor_graph(self.scenario.K, self.scenario.J, self.scenario.N)
         for value in self.sweep_values_dbm if cap_field else ():
             dataclasses.replace(self.scenario, **{cap_field: value}).validate()
         return self
@@ -97,6 +98,16 @@ class SweepResult:
     @property
     def all_infeasible(self):
         return all(r.num_seeds_used == 0 for r in self.rows)
+
+    def summary(self) -> str:
+        """What the CLI prints: the files written, then a line per sweep value."""
+        lines = [f"wrote {self.detail_path} and {self.summary_path}"]
+        for row in self.rows:
+            lines.append(f"  {row.sweep_value_dbm:g} dBm: proposed "
+                         f"{row.mean_sum_rate_proposed:.4f}, random "
+                         f"{row.mean_sum_rate_random:.4f} ({row.num_seeds_used} "
+                         f"seeds, {row.num_infeasible_draws} infeasible)")
+        return "\n".join(lines)
 
 
 def _setup(spec: ExperimentSpec):
@@ -171,6 +182,16 @@ class ConvergenceResult:
     def all_infeasible(self):
         return not self.traces
 
+    def summary(self) -> str:
+        """What the CLI prints: the file written, then a line per trace."""
+        lines = [f"wrote {self.output_path}: {len(self.traces)} trace(s), "
+                 f"{len(self.infeasible_seeds)} infeasible seed(s)"]
+        for seed, trace in self.traces.items():
+            tag = "converged" if trace.converged else "cap reached"
+            lines.append(f"  seed {seed}: {trace.iterations_used} pass(es), {tag}, "
+                         f"final sum rate {trace.final.sum_rate_bits:.4f}")
+        return "\n".join(lines)
+
 
 def _write_solver_traces(output_path, seed, trace):
     """One CSV per pass, <stem>_solver_seed<seed>_pass<i>.csv, with a row
@@ -187,7 +208,7 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     """One allocator trace per seed; rows hold per-variable powers (watts
     and dBm) and the sum rate at every pass, pass 0 being the start."""
     cfg, graph, occupancy = _setup(spec)
-    names, cell_vars = variable_registry(graph, cfg.J_D)
+    names, _ = variable_registry(graph, cfg.J_D)
     header = ["seed", "iteration",
               *(f"{n}_{unit}" for n in names for unit in ("w", "dbm")),
               "sum_rate_bits", "converged"]
@@ -207,7 +228,7 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
         allocs = [trace.initial_powers] + [p.powers for p in trace.points]
         for it, (alloc, rate) in enumerate(zip(allocs, trace.rates())):
             row = [seed, it]
-            for v in pack_allocation(cell_vars, alloc):
+            for v in pack_allocation(graph, alloc.cellular, alloc.d2d):
                 row += [v, watts_to_dbm(v) if v > 0 else "-inf"]
             rows.append(row + [rate * cfg.rate_scale, int(trace.converged)])
     _write_csv(spec.output_path, header, rows)
@@ -251,6 +272,11 @@ class BoundValidationResult:
     @property
     def all_infeasible(self):
         return False
+
+    def summary(self) -> str:
+        """What the CLI prints."""
+        return (f"wrote {self.output_path}: {self.num_rows} rows, "
+                f"{self.num_violations} violation(s)")
 
 
 def run_bound_validation(spec: ExperimentSpec) -> BoundValidationResult:
@@ -297,6 +323,12 @@ class ComparisonResult:
     @property
     def all_infeasible(self):
         return self.num_seeds_used == 0
+
+    def summary(self) -> str:
+        """What the CLI prints."""
+        return (f"wrote {self.output_path}: proposed {self.mean_proposed:.4f} "
+                f"vs random {self.mean_random:.4f} over {self.num_seeds_used} "
+                f"seeds ({self.num_infeasible} infeasible)")
 
 
 def run_baseline_comparison(spec: ExperimentSpec) -> ComparisonResult:

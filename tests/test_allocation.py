@@ -25,7 +25,14 @@ from scma_d2d.allocation import (
     unpack_allocation,
     variable_registry,
 )
-from scma_d2d.capacity import PowerAllocation, cellular_sinr, d2d_sinr, equivalent_noise
+from scma_d2d.capacity import (
+    PowerAllocation,
+    cellular_sinr,
+    closed_form_cellular_capacity,
+    d2d_capacity,
+    d2d_sinr,
+    equivalent_noise,
+)
 from scma_d2d.channel import ChannelRealization, ScenarioConfig
 from scma_d2d.experiments import ExperimentSpec, run_convergence
 from scma_d2d.factor_graph import build_factor_graph
@@ -37,12 +44,21 @@ def constraint_values(p2, x):
     return np.array([c.evaluate(x) for c in p2.constraints])
 
 
+def packed(graph, alloc):
+    return pack_allocation(graph, alloc.cellular, alloc.d2d)
+
+
+def convex_form(p2):
+    """The convex-form problem allocate builds from p2."""
+    return to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
+
+
 class TestBuildP2:
     def test_counts_baseline(self):
         """6 users x 2 tones each + 1 pair: 26 constraints, 13 variables."""
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         p2 = build_p2(cfg, ch, graph, occ)
-        assert p2.n_variables == 13
+        assert len(p2.registry) == 13
         assert len(p2.constraints) == 26
         assert len(p2.numerator_factors) == 5      # 4 tones + 1 pair
         assert len(p2.denominator_factors) == 5
@@ -64,7 +80,7 @@ class TestBuildP2:
             cell_to_d2d=np.ones((cfg.J, 0), dtype=complex),
             noise_power_w=ch.noise_power_w)
         p2 = build_p2(cfg0, ch0, graph, {})
-        assert p2.n_variables == 12
+        assert len(p2.registry) == 12
         assert len(p2.constraints) == 24
         assert len(p2.denominator_factors) == 4
 
@@ -83,10 +99,10 @@ class TestBuildP2:
 
     def test_pack_unpack_round_trip(self):
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
-        p2 = build_p2(cfg, ch, graph, occ)
         alloc = support_allocation(cfg, graph, np.random.default_rng(2))
-        x = pack_allocation(p2.cell_vars, alloc)
-        again = unpack_allocation(p2, x, (cfg.J, cfg.K))
+        x = packed(graph, alloc)
+        assert len(x) == len(build_p2(cfg, ch, graph, occ).registry)
+        again = unpack_allocation(graph, x)
         assert np.allclose(again.cellular, alloc.cellular)
         assert np.allclose(again.d2d, alloc.d2d)
 
@@ -100,7 +116,7 @@ class TestExpandDenominator:
         assert len(expanded) <= bound
         rng = np.random.default_rng(3)
         for _ in range(5):
-            x = rng.uniform(1e-3, 1.0, size=p2.n_variables)
+            x = rng.uniform(1e-3, 1.0, size=len(p2.registry))
             factorwise = 1.0
             for f in p2.denominator_factors:
                 factorwise *= f.evaluate(x)
@@ -140,15 +156,35 @@ class TestSumRate:
         d2d_only = PowerAllocation(np.zeros((2, 2)), np.array([1.0]))
         assert sum_rate(ch, graph, {0: 0}, d2d_only) == pytest.approx(1.0, rel=1e-12)
 
+    def test_matches_capacity_closed_forms(self):
+        """sum_rate against capacity's scalar closed forms, the cellular
+        rate on the equivalent noise plus the D2D rates, on random
+        allocations at J_D = 0..4, every other one with some powers
+        exactly 0.  The two routes sum the D2D interference in different
+        orders, so they agree to rounding."""
+        rng = np.random.default_rng(31)
+        for seed, jd in itertools.product(range(3), range(5)):
+            cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd)
+            for i in range(20):
+                alloc = support_allocation(cfg, graph, rng)
+                if i % 2:
+                    alloc.cellular[rng.uniform(size=alloc.cellular.shape) < 0.2] = 0.0
+                    alloc.d2d[rng.uniform(size=jd) < 0.3] = 0.0
+                noise = equivalent_noise(ch, alloc, occ)
+                want = (closed_form_cellular_capacity(ch, alloc, noise, graph)
+                        + d2d_capacity(ch, alloc, occ))
+                got = sum_rate(ch, graph, occ, alloc)
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (seed, jd, i)
+
     def test_posynomial_ratio_identity(self):
-        """Capacity-sum route equals log2 of the factored posynomial ratio."""
+        """sum_rate equals log2 of the factored posynomial ratio."""
         for seed in range(5):
             cfg, graph, ch, occ = make_scenario(seed=seed, jd=2)
             p2 = build_p2(cfg, ch, graph, occ)
             alloc = support_allocation(cfg, graph, np.random.default_rng(seed))
             direct = sum_rate(ch, graph, occ, alloc)
-            packed = pack_allocation(p2.cell_vars, alloc)
-            assert direct == pytest.approx(objective_sum_rate(p2, packed), rel=1e-10)
+            x = packed(graph, alloc)
+            assert direct == pytest.approx(objective_sum_rate(p2, x), rel=1e-10)
 
 
 class TestAllocate:
@@ -175,7 +211,7 @@ class TestAllocate:
         p2 = build_p2(cfg, ch, graph, occ)
         trace = allocate(cfg, ch, graph, occ)
         for p in trace.points:
-            vals = constraint_values(p2, pack_allocation(p2.cell_vars, p.powers))
+            vals = constraint_values(p2, packed(graph, p.powers))
             assert np.all(vals <= 1.0 + 1e-8)
 
     def test_some_variable_reaches_its_cap(self):
@@ -194,10 +230,9 @@ class TestAllocate:
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         trace = allocate(cfg, ch, graph, occ)
         assert trace.converged
-        cell_vars = build_p2(cfg, ch, graph, occ).cell_vars
-        x_star = pack_allocation(cell_vars, trace.final.powers)
+        x_star = packed(graph, trace.final.powers)
         resumed = allocate(cfg, ch, graph, occ, t_max=trace.iterations_used + 1)
-        x_again = pack_allocation(cell_vars, resumed.final.powers)
+        x_again = packed(graph, resumed.final.powers)
         assert np.all(np.abs(x_again - x_star) <= 1e-5 * np.abs(x_star))
 
     def test_single_pass(self):
@@ -382,8 +417,8 @@ class TestFeasibleStart:
     def test_half_cap_point_used_when_feasible(self):
         cfg, graph, ch, occ = make_scenario(seed=1, jd=1)
         p2 = build_p2(cfg, ch, graph, occ)
-        x = feasible_start(cfg, graph, p2)
-        expected = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
+        x = feasible_start(cfg, graph, convex_form(p2))
+        expected = packed(graph, initial_allocation(cfg, graph))
         assert np.allclose(x, expected)
 
     def test_phase1_rescues_violated_start(self):
@@ -395,9 +430,9 @@ class TestFeasibleStart:
             d2d_sinr(ch, initial_allocation(cfg, graph), 0, occ))
         cfg = dataclasses.replace(cfg, d2d_sinr_floor_db=start_sinr_db + 1.5)
         p2 = build_p2(cfg, ch, graph, occ)
-        x0 = pack_allocation(p2.cell_vars, initial_allocation(cfg, graph))
+        x0 = packed(graph, initial_allocation(cfg, graph))
         assert constraint_values(p2, x0).max() > 1.0
-        x = feasible_start(cfg, graph, p2)
+        x = feasible_start(cfg, graph, convex_form(p2))
         assert constraint_values(p2, x).max() < 1.0
 
 
@@ -415,12 +450,13 @@ def scalar_qos_violation(cfg, ch, graph, occ, alloc):
 
 class TestQosViolation:
     def test_matches_scalar_sinrs(self):
-        """Random allocations, some with powers exactly 0: the vectorized
-        check equals the scalar floor ratios and raises no warning.  The
-        floor pairs (cellular, D2D in dB) include one where the D2D links
-        bind and one where the cellular links do.  The scalar D2D
-        interference is a BLAS dot product, so agreement is to rounding,
-        not bit for bit."""
+        """Random allocations, some with powers exactly 0: the check equals
+        the scalar floor ratios of capacity's SINRs and raises no warning.
+        The floor pairs (cellular, D2D in dB) include one where the D2D
+        links bind and one where the cellular links do.  The check reads
+        the link model that sum_rate and build_p2 read; the scalar SINRs
+        are an independent oracle that divides in another order, so
+        agreement is to rounding, not bit for bit."""
         rng = np.random.default_rng(11)
         seen = {"inf": 0, "violated": 0, "met": 0}
         for (seed, jd), (floor_c, floor_d) in itertools.product(

@@ -244,6 +244,23 @@ class TestCli:
         assert "power_cap_dbm" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("config", ["J = 5\n", "K = 6\nJ = 9\nN = 2\n"])
+    def test_unbuildable_factor_graph_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                config):
+        """Dimensions with no regular factor graph (J*N not divisible by K;
+        a lexicographic prefix with unequal row sums) exit 2 before any
+        seed runs."""
+        monkeypatch.setattr(experiments, "allocate",
+                            lambda *args, **kwargs: pytest.fail("a seed ran"))
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["compare", "--config", str(cfg), "--seeds", "1",
+                     "--out", str(out_dir / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out_dir.iterdir()) == []
+
     def test_bad_sweep_list_exits_two(self, tmp_path):
         assert main(["sweep-cell", "--sweep-dbm", "abc",
                      "--out", str(tmp_path / "s.csv")]) == 2

@@ -70,7 +70,7 @@ from scma_d2d.experiments import (
     run_sweep,
 )
 from scma_d2d.factor_graph import build_factor_graph
-from scma_d2d.posynomial import product
+from scma_d2d.posynomial import product, to_convex_form
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -187,8 +187,10 @@ def _record_feasible_starts(out_dir):
         ch = sample_channels(run_cfg, sample_geometry(run_cfg, streams.geometry),
                              streams.fading)
         p2 = build_p2(run_cfg, ch, graph, occupancy)
+        problem = to_convex_form(product(p2.numerator_factors),
+                                 constraints=p2.constraints)
         try:
-            x = feasible_start(run_cfg, graph, p2)
+            x = feasible_start(run_cfg, graph, problem)
         except InfeasibleScenarioError as err:
             starts[str(seed)] = {"feasible": False, "max_slack": err.max_slack}
             continue
