@@ -157,11 +157,11 @@ def build_p2(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     links = link_model(ch, graph, occupancy)
     unit = np.eye(len(reg))
     noise, signal = [], []
-    for r, cross in enumerate(links.cross):
-        heard = np.flatnonzero(cross)
+    for r, row in enumerate(links.cross):
+        interferers = np.flatnonzero(row)
         own = np.flatnonzero(links.receiver == r)
-        coefficients = [links.noise, *cross[heard]]
-        exponents = [np.zeros(len(reg)), *unit[heard]]
+        coefficients = [links.noise, *row[interferers]]
+        exponents = [np.zeros(len(reg)), *unit[interferers]]
         noise.append(Posynomial(reg, coefficients, exponents))
         signal.append(Posynomial(reg, coefficients + list(links.gain[own]),
                                  exponents + list(unit[own])))
