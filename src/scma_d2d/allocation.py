@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import PowerAllocation, check_occupancy, tone_of_pair
+from .capacity import PowerAllocation, check_occupancy, power_gains, tone_of_pair
 from .channel import ChannelRealization, ScenarioConfig
 from .factor_graph import FactorGraph
 from .gp import (
@@ -118,12 +118,6 @@ class Links:
         return self.noise + x @ self.cross.T
 
 
-def _power_gains(h):
-    """|h|^2 per entry, squared as a float like capacity's scalar forms do
-    (numpy's array square rounds about one entry in 1000 differently)."""
-    return np.array([v ** 2 for v in np.abs(h).ravel().tolist()]).reshape(h.shape)
-
-
 def link_model(ch: ChannelRealization, graph: FactorGraph, occupancy) -> Links:
     """The Links record of channel draw ch."""
     n_pairs = len(ch.d2d_pair)
@@ -131,12 +125,12 @@ def link_model(ch: ChannelRealization, graph: FactorGraph, occupancy) -> Links:
     j, k = np.nonzero(graph.indicator.T)   # the cellular variables
     tones = np.array([tone_of_pair(occupancy, l) for l in range(n_pairs)], dtype=int)
     cross = np.zeros((graph.K + n_pairs, len(j) + n_pairs))
-    cross[tones, len(j) + np.arange(n_pairs)] = _power_gains(ch.d2d_to_bs)
+    cross[tones, len(j) + np.arange(n_pairs)] = power_gains(ch.d2d_to_bs)
     cross[graph.K:, :len(j)] = np.where(k == tones[:, None],
-                                        _power_gains(ch.cell_to_d2d)[j].T, 0.0)
+                                        power_gains(ch.cell_to_d2d)[j].T, 0.0)
     return Links(receiver=np.concatenate([k, graph.K + np.arange(n_pairs)]),
-                 gain=np.concatenate([_power_gains(ch.cell_to_bs)[j, k],
-                                      _power_gains(ch.d2d_pair)]),
+                 gain=np.concatenate([power_gains(ch.cell_to_bs)[j, k],
+                                      power_gains(ch.d2d_pair)]),
                  cross=cross, noise=ch.noise_power_w)
 
 

@@ -62,6 +62,13 @@ class PowerAllocation:
         return self
 
 
+def power_gains(h) -> np.ndarray:
+    """|h|^2 of each entry of a complex gain array, squared one Python
+    float at a time (libm's pow, as numpy squares a scalar); numpy's array
+    square rounds about one entry in 1000 differently."""
+    return np.array([v ** 2 for v in np.abs(h).ravel().tolist()]).reshape(np.shape(h))
+
+
 def default_occupancy(n_pairs: int) -> dict:
     """Pair l on tone l, the fixed assignment used throughout."""
     return {l: l for l in range(n_pairs)}
@@ -90,8 +97,9 @@ def equivalent_noise(ch: ChannelRealization, alloc: PowerAllocation,
     k_count = ch.cell_to_bs.shape[1]
     check_occupancy(occupancy, k_count, len(ch.d2d_to_bs))
     out = np.full(k_count, ch.noise_power_w)
+    gains = power_gains(ch.d2d_to_bs)
     for k, l in occupancy.items():
-        out[k] += np.abs(ch.d2d_to_bs[l]) ** 2 * alloc.d2d[l]
+        out[k] += gains[l] * alloc.d2d[l]
     return EquivalentNoise(per_subcarrier=out)
 
 
@@ -138,7 +146,7 @@ def eigenvalue_upper_bounds(ch: ChannelRealization, splits,
     k-th smallest equivalent-noise power plus the per-user largest split
     eigenvalues weighted by that user's best subcarrier gain."""
     taus = _split_tau(splits, -1)
-    best = (np.abs(ch.cell_to_bs) ** 2).max(axis=1)
+    best = power_gains(ch.cell_to_bs).max(axis=1)
     return np.sort(noise.per_subcarrier) + float(taus @ best)
 
 
@@ -147,7 +155,7 @@ def eigenvalue_lower_bounds(ch: ChannelRealization, splits,
     """Mirror of the upper bound with smallest split eigenvalues and worst
     subcarrier gains."""
     taus = _split_tau(splits, 0)
-    worst = (np.abs(ch.cell_to_bs) ** 2).min(axis=1)
+    worst = power_gains(ch.cell_to_bs).min(axis=1)
     return np.sort(noise.per_subcarrier) + float(np.maximum(taus, 0.0) @ worst)
 
 
@@ -155,7 +163,7 @@ def capacity_upper_bound(ch: ChannelRealization, splits,
                          noise: EquivalentNoise) -> float:
     """Closed-form upper bound on the exact cellular capacity."""
     taus = _split_tau(splits, -1)
-    best = (np.abs(ch.cell_to_bs) ** 2).max(axis=1)
+    best = power_gains(ch.cell_to_bs).max(axis=1)
     lift = float(taus @ best)
     return float(np.log2(1.0 + lift / noise.per_subcarrier).sum())
 
@@ -203,11 +211,11 @@ def closed_form_cellular_capacity(ch: ChannelRealization, alloc: PowerAllocation
     """Aggregate cellular rate for diagonal covariances: per-subcarrier
     log2(1 + sum of colliding users' received powers over equivalent noise)."""
     inc = incidence_sets(graph)
+    gains = power_gains(ch.cell_to_bs)
     total = 0.0
     for k in range(graph.K):
         users = list(inc.users_of_subcarrier[k])
-        signal = sum(np.abs(ch.cell_to_bs[j, k]) ** 2 * alloc.cellular[j, k]
-                     for j in users)
+        signal = sum(gains[j, k] * alloc.cellular[j, k] for j in users)
         total += np.log2(1.0 + signal / noise.per_subcarrier[k])
     return float(total)
 
@@ -218,7 +226,7 @@ def cellular_sinr(ch: ChannelRealization, alloc: PowerAllocation,
     """Decoding SINR of user j on its subcarrier k."""
     if graph.indicator[k, j] == 0:
         raise ValueError(f"subcarrier {k} is outside user {j}'s support")
-    return float(np.abs(ch.cell_to_bs[j, k]) ** 2 * alloc.cellular[j, k]
+    return float(power_gains(ch.cell_to_bs[j, k]) * alloc.cellular[j, k]
                  / noise.per_subcarrier[k])
 
 
@@ -227,8 +235,8 @@ def d2d_sinr(ch: ChannelRealization, alloc: PowerAllocation, l: int,
     """SINR at the receiver of pair l: own link power over thermal noise
     plus the colliding cellular users' power on the occupied tone."""
     k = tone_of_pair(occupancy, l)
-    interference = float(np.abs(ch.cell_to_d2d[:, l]) ** 2 @ alloc.cellular[:, k])
-    signal = np.abs(ch.d2d_pair[l]) ** 2 * alloc.d2d[l]
+    interference = float(power_gains(ch.cell_to_d2d[:, l]) @ alloc.cellular[:, k])
+    signal = power_gains(ch.d2d_pair[l]) * alloc.d2d[l]
     return float(signal / (ch.noise_power_w + interference))
 
 

@@ -110,11 +110,14 @@ class Posynomial:
         a = np.asarray(exponents, dtype=float).reshape(len(c), len(self.registry))
         if len(c) == 0:
             raise ValueError("posynomial needs at least one term")
-        if np.any(c <= 0) or not np.all(np.isfinite(c)):
-            raise ValueError("posynomial coefficients must be positive and finite")
+        _check_coefficients(c)
         if not np.all(np.isfinite(a)):
             raise ValueError("exponents must be finite")
-        self.coefficients, self.exponents = _merge_terms(c, a)
+        self._set_terms(*_merge_terms(c, a))
+
+    def _set_terms(self, coefficients, exponents):
+        """Store merged terms: distinct rows in lexicographic order."""
+        self.coefficients, self.exponents = coefficients, exponents
         self.coefficients.flags.writeable = False
         self.exponents.flags.writeable = False
 
@@ -166,10 +169,16 @@ class Posynomial:
         if not isinstance(other, Posynomial):
             return NotImplemented
         _check_registry(self.registry, other.registry)
-        coeff = np.outer(self.coefficients, other.coefficients).reshape(-1)
-        expo = (self.exponents[:, None, :] + other.exponents[None, :, :]
-                ).reshape(-1, len(self.registry))
-        return Posynomial(self.registry, coeff, expo)
+        a, b = self.exponents, other.exponents
+        merged = _merge_product(self.coefficients, a, other.coefficients, b)
+        if merged is None:
+            return Posynomial(self.registry,
+                              np.outer(self.coefficients, other.coefficients).reshape(-1),
+                              (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
+        out = Posynomial.__new__(Posynomial)
+        out.registry = self.registry
+        out._set_terms(*merged)
+        return out
 
     __rmul__ = __mul__
 
@@ -188,36 +197,18 @@ class Posynomial:
         return " + ".join(self.format_lines())
 
 
-# integers below this magnitude are their own rounding to MERGE_DECIMALS:
-# x * 10**12 is exact (5**12 * 2**25 < 2**53), so np.round returns x
-_ROUND_EXACT = 2.0 ** 25
-_CHECK_ROWS = 1 << 12   # rows per slice of _radix_codes' integer check
+def _check_coefficients(c):
+    if np.any(c <= 0) or not np.all(np.isfinite(c)):
+        raise ValueError("posynomial coefficients must be positive and finite")
 
 
-def _radix_codes(exponents):
-    """One float per row that orders the rows as they order
-    lexicographically, and is equal exactly when the rows are equal; None
-    unless every entry is an integer below _ROUND_EXACT in magnitude and
-    the codes are exact.
-
-    With lo and hi the smallest and largest entry, the code is the row
-    read as a number in base hi - lo + 1.  It is taken as exponents @ radix
-    without subtracting lo (that only shifts every code by one constant),
-    so every partial sum is an integer below 2**53 and no summation order
-    can round it.  -0.0 and 0.0 give the same code."""
-    lo, hi = exponents.min(), exponents.max()
-    top, base = max(-lo, hi), hi - lo + 1.0
-    # the bound in Python integers, which cannot overflow
-    if not (top < _ROUND_EXACT
-            and math.ceil(top) * math.ceil(base) ** exponents.shape[1] < 2 ** 53):
-        return None
-    # checked a slice at a time: a full-size temporary would add a copy of
-    # the largest product's exponents to the peak memory
-    for i in range(0, len(exponents), _CHECK_ROWS):
-        part = exponents[i:i + _CHECK_ROWS]
-        if not np.array_equal(part, np.rint(part)):
-            return None
-    return exponents @ base ** np.arange(exponents.shape[1] - 1.0, -1.0, -1.0)
+def _sum_runs(coefficients, order, start):
+    """Coefficients of the sorted terms summed over each run that start
+    marks.  bincount adds one term at a time, in order; np.add.reduceat
+    would sum long runs pairwise and change the last bits."""
+    group = np.cumsum(start)
+    group -= 1
+    return np.bincount(group, weights=coefficients[order])
 
 
 def _merge_terms(coefficients, exponents):
@@ -225,30 +216,87 @@ def _merge_terms(coefficients, exponents):
 
     Vectors are compared after rounding to MERGE_DECIMALS; adding 0.0
     turns -0.0 into 0.0, so a stored row does not depend on which copy of
-    a zero came first.  The rows come back in lexicographic order, and the
-    stable sort keeps each group's terms in input order, so merged
-    coefficients are summed in input order.  Rows of small integers
-    (every product the allocator builds) need no rounding and sort by one
-    code per row; other rows are rounded and sorted by np.lexsort, which
-    gives the same order.
+    a zero came first.  The rows come back in lexicographic order, and
+    np.lexsort is stable, so merged coefficients are summed in input order.
     """
-    codes = _radix_codes(exponents)
-    if codes is not None:
-        order = np.argsort(codes, kind="stable")
-        ordered = codes[order]
-        start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-        rows = exponents[order[start]] + 0.0
-    else:
-        keys = np.round(exponents, MERGE_DECIMALS)
-        keys += 0.0
-        order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        start = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
-        rows = ordered[start]
-    group = np.cumsum(start) - 1
-    # bincount adds one term at a time, in order; np.add.reduceat would
-    # sum long groups pairwise and change the last bits
-    merged = np.bincount(group, weights=coefficients[order])
+    keys = np.round(exponents, MERGE_DECIMALS)
+    keys += 0.0
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    start = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
+    return _sum_runs(coefficients, order, start), ordered[start]
+
+
+# integers below this magnitude are their own rounding to MERGE_DECIMALS:
+# x * 10**12 is exact (5**12 * 2**25 < 2**53), so np.round returns x
+_ROUND_EXACT = 2.0 ** 25
+_SLICE_ROWS = 1 << 10   # rows per slice of _integral and of the row fill
+
+
+def _integral(x):
+    """Whether every entry is an integer, checked a slice at a time: a
+    full-size temporary would add a copy of the largest factor's
+    exponents to the peak memory."""
+    return all(np.array_equal(x[i:i + _SLICE_ROWS], np.rint(x[i:i + _SLICE_ROWS]))
+               for i in range(0, len(x), _SLICE_ROWS))
+
+
+def _radix_codes(a, b):
+    """One float per product row a[i] + b[j], flattened as i * len(b) + j,
+    that orders the rows as they order lexicographically and is equal
+    exactly when the rows are equal; None unless every entry of a and b
+    is an integer and the codes are exact.
+
+    With lo and hi the smallest and largest entry of the product rows, the
+    code is the row read as a number in base hi - lo + 1, taken as
+    row @ radix without subtracting lo (that only shifts every code by one
+    constant).  The code is linear, so it is a[i] @ radix + b[j] @ radix
+    and no product row is built.  With top the largest magnitude among the
+    entries of a, b and the product rows, top * base**n < 2**53 is checked:
+    every partial sum of a code is then an integer below 2**53, and no
+    summation order can round it.  -0.0 and 0.0 give the same code."""
+    a_lo, a_hi, b_lo, b_hi = a.min(axis=0), a.max(axis=0), b.min(axis=0), b.max(axis=0)
+    lo, hi = (a_lo + b_lo).min(), (a_hi + b_hi).max()
+    top = max(-lo, hi, -a_lo.min(), a_hi.max(), -b_lo.min(), b_hi.max())
+    base = hi - lo + 1.0
+    # the bound in Python integers, which cannot overflow
+    if not (top < _ROUND_EXACT
+            and math.ceil(top) * math.ceil(base) ** a.shape[1] < 2 ** 53
+            and _integral(a) and _integral(b)):
+        return None
+    radix = base ** np.arange(a.shape[1] - 1.0, -1.0, -1.0)
+    return ((a @ radix)[:, None] + (b @ radix)[None, :]).reshape(-1)
+
+
+def _merge_product(c, a, d, b):
+    """_merge_terms of the product terms c[i] * d[j] with rows a[i] + b[j],
+    flattened as i * len(b) + j, bit for bit, or None when their codes
+    are not exact.
+
+    The stable argsort of the codes is np.lexsort's order of the rows, and
+    integer rows are their own rounding, so the runs, their order and
+    their sums are _merge_terms'.  Only the kept rows are built, a slice
+    at a time, from the same additions; a and b hold no -0.0 (stored rows
+    never do), so neither does their sum."""
+    codes = _radix_codes(a, b)
+    if codes is None:
+        return None
+    # each full-length temporary is dropped as soon as it is used: those
+    # that outlive the sort would add to the peak memory
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    start = np.concatenate(([True], codes[1:] != codes[:-1]))
+    del codes
+    coefficients = np.outer(c, d).reshape(-1)
+    _check_coefficients(coefficients)    # a product can underflow or overflow
+    merged = _sum_runs(coefficients, order, start)
+    del coefficients
+    kept = order[start]
+    del order, start
+    rows = np.empty((len(kept), a.shape[1]))
+    for s in range(0, len(kept), _SLICE_ROWS):
+        i, j = np.divmod(kept[s:s + _SLICE_ROWS], len(b))
+        np.add(a[i], b[j], out=rows[s:s + _SLICE_ROWS])
     return merged, rows
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,6 +122,26 @@ class TestExpandDenominator:
             for f in p2.denominator_factors:
                 factorwise *= f.evaluate(x)
             assert expanded.evaluate(x) == pytest.approx(factorwise, rel=1e-10)
+
+    def test_product_peak_memory(self):
+        """The J_D = 4 denominator's product traces at most twice its own
+        exponent array: the 84,375 raw rows of the last multiplication
+        are never built."""
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=4)
+        p2 = build_p2(cfg, ch, graph, occ)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            expanded = product(p2.denominator_factors)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(expanded) == 50625
+        assert peak <= 2 * expanded.exponents.nbytes
 
     def test_constant_factor_scales_coefficients(self):
         """Multiplying by the constant noise factor rescales every term."""

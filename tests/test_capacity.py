@@ -246,6 +246,20 @@ class TestSinr:
         expected = abs(ch.d2d_pair[0]) ** 2 * alloc.d2d[0] / denom
         assert d2d_sinr(ch, alloc, 0, occ) == pytest.approx(expected, rel=1e-12)
 
+    def test_d2d_gain_squared_as_a_float(self):
+        """The colliding user's gain is squared as a Python float, as the
+        link model squares it; numpy's array square rounds this one the
+        other way, and the SINR would differ in the last bit."""
+        v = 1.2260833901624735
+        assert (np.array([v]) ** 2)[0] != v ** 2
+        ch = tiny_channels(noise_w=1e-30)
+        ch.cell_to_d2d[0, 0] = v
+        cell = np.zeros((2, 3))
+        cell[0, 0] = 1.0
+        alloc = PowerAllocation(cell, np.array([1.0]))
+        assert d2d_sinr(ch, alloc, 0, {0: 0}) == 1.0 / (1e-30 + v ** 2)
+        assert d2d_sinr(ch, alloc, 0, {0: 0}) != 1.0 / (1e-30 + (np.array([v]) ** 2)[0])
+
     def test_noise_only_d2d_ratio(self):
         """No cellular interference: SINR is |h|^2 P' / N0 = 9."""
         ch = tiny_channels(noise_w=1.0)

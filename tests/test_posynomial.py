@@ -15,6 +15,7 @@ from scma_d2d.posynomial import (
     RegistryMismatchError,
     condense,
     multiply,
+    _merge_product,
     _merge_terms,
     _radix_codes,
     product,
@@ -250,33 +251,117 @@ class TestSingleKeyMerge:
     @example(case=(np.tile([1.0, 1e-16, 1e-16, 1e-16], 16), np.zeros((64, 3)), "integer"))
     def test_matches_lexsort_reference(self, case):
         """Same rows, order and coefficient bits as the lexsort merge that
-        sums each group in input order, on the single-key path and on the
-        lexsort fallback alike."""
+        sums each group in input order, on the single-key product merge
+        (the rows times a one-term factor 1 * x^0) and on _merge_terms
+        alike."""
         coefficients, exponents, kind = case
-        got_c, got_a = _merge_terms(coefficients, exponents)
         want_c, want_a = _merge_terms_lexsort(coefficients, exponents)
-        _assert_same_bits(got_a, want_a)
-        _assert_same_bits(got_c, want_c)
+        for merge in (_merge_terms, _merge_by_codes):
+            got = merge(coefficients, exponents)
+            if got is None:
+                assert kind != "integer"
+                continue
+            _assert_same_bits(got[1], want_a)
+            _assert_same_bits(got[0], want_c)
         if kind == "fractional":
-            assert _radix_codes(exponents) is None
+            assert _merge_by_codes(coefficients, exponents) is None
 
     def test_codes_sort_like_rows(self):
         """Integer rows get one code each, ordered as np.lexsort orders the
         rows; fractional rows and ranges whose codes could not be exact
-        get None."""
+        get None.  A product's codes are those of its rows a[i] + b[j],
+        and the bound covers the factors' entries as well as the rows'."""
         rng = np.random.default_rng(7)
         keys = rng.integers(-3, 4, size=(300, 16)).astype(float) + 0.0
-        codes = _radix_codes(keys)
+        zero = np.zeros((1, 16))
+        codes = _radix_codes(keys, zero)
         np.testing.assert_array_equal(np.argsort(codes, kind="stable"),
                                       np.lexsort(keys.T[::-1]))
         assert len(np.unique(codes)) == len(np.unique(keys, axis=0))
-        assert _radix_codes(keys + 0.5) is None
+        assert _radix_codes(keys + 0.5, zero) is None
+        assert _radix_codes(zero, keys + 0.5) is None
         wide = keys.copy()
         wide[0, 0] = 20.0    # base 24 over 16 columns: 24**16 > 2**53
-        assert _radix_codes(wide) is None
-        assert _radix_codes(np.array([[2.0 ** 25, 0.0]])) is None
-        assert _radix_codes(np.ones((2, 400)) * np.array([[1.0], [-1.0]])) is None
-        assert _radix_codes(np.zeros((4, 3))) is not None
+        assert _radix_codes(wide, zero) is None
+        assert _radix_codes(np.array([[2.0 ** 25, 0.0]]), np.zeros((1, 2))) is None
+        assert _radix_codes(np.ones((2, 400)) * np.array([[1.0], [-1.0]]),
+                            np.zeros((1, 400))) is None
+        assert _radix_codes(np.zeros((4, 3)), np.zeros((1, 3))) is not None
+        # rows of 2**25 from factors below it, and factors of 2**25 whose
+        # rows are 0
+        half = np.array([[2.0 ** 24]])
+        assert _radix_codes(half, half) is None
+        assert _radix_codes(2 * half, -2 * half) is None
+        a, b = keys[:40, :8], keys[40:70, :8]
+        rows = (a[:, None] + b[None]).reshape(-1, 8)
+        np.testing.assert_array_equal(_radix_codes(a, b), _radix_codes(rows, zero[:, :8]))
+        np.testing.assert_array_equal(np.argsort(_radix_codes(a, b), kind="stable"),
+                                      np.lexsort(rows.T[::-1]))
+
+
+def _merge_by_codes(coefficients, exponents):
+    """_merge_product of the rows times the one-term factor 1 * x^0."""
+    return _merge_product(coefficients, exponents, np.ones(1),
+                          np.zeros((1, exponents.shape[1])))
+
+
+@st.composite
+def product_factors(draw):
+    """(p, q, kind): two posynomials over one registry of up to 8 (kind
+    "wide": 12 to 16) variables, with 1 to 60 terms each (often one).
+    kind "integer" draws entries in {-2, ..., 2} (zeros of either
+    sign), so the raw product has many equal rows; "fractional" puts 0.5
+    or 1/3 on an entry of p; "large" puts 2**25 or more on an entry of q;
+    "wide" spreads entries over -20..20, so that base 41 over 12 or more
+    columns cannot give exact codes.  The last three take the raw-row
+    merge.  Coefficients mix 1.0 with 1e-16, so that a sum over three or
+    more equal rows depends on the order of addition."""
+    kind = draw(st.sampled_from(["integer", "integer", "fractional", "large", "wide"]))
+    n_cols = draw(st.integers(12, 16) if kind == "wide" else st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reg = tuple(f"x{i}" for i in range(n_cols))
+
+    def factor():
+        n_terms = draw(st.sampled_from([1, 1, 2, 5, 20, 60]))
+        rows = rng.integers(-2, 3, size=(n_terms, n_cols)).astype(float)
+        rows = np.where((rng.random(rows.shape) < 0.3) & (rows == 0), -0.0, rows)
+        coefficients = np.where(rng.random(n_terms) < 0.6,
+                                rng.choice([1.0, 1e-16], size=n_terms),
+                                rng.uniform(0.1, 10.0, size=n_terms))
+        return coefficients, rows
+
+    (cp, ap), (cq, aq) = factor(), factor()
+    if kind == "fractional":
+        ap[0, 0] += rng.choice([0.5, 1.0 / 3.0])
+    elif kind == "large":
+        aq[0, 0] = 2.0 ** rng.integers(25, 40)
+    elif kind == "wide":
+        ap[0, 0], aq[0, 1] = 20.0, -20.0
+    return Posynomial(reg, cp, ap), Posynomial(reg, cq, aq), kind
+
+
+class TestProductMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(case=product_factors())
+    @example(case=(Posynomial(("x",), [1.0, 1e-16, 1e-16], [[-1.0], [0.0], [1.0]]),
+                   Posynomial(("x",), [1e-16, 1.0, 1e-16], [[1.0], [-0.0], [-1.0]]),
+                   "integer"))
+    @example(case=(Posynomial(("x", "y"), [2.0], [[0.0, -0.0]]),
+                   Posynomial(("x", "y"), [3.0], [[-0.0, 0.0]]), "integer"))
+    def test_matches_merge_of_raw_rows(self, case):
+        """p * q is _merge_terms of the materialized raw product rows, bit
+        for bit in coefficients and exponents, on the single-key merge and
+        on the raw-row fallback alike."""
+        p, q, kind = case
+        n = len(p.registry)
+        raw_c = np.outer(p.coefficients, q.coefficients).reshape(-1)
+        raw_a = (p.exponents[:, None] + q.exponents[None]).reshape(-1, n)
+        want_c, want_a = _merge_terms(raw_c, raw_a)
+        got = p * q
+        _assert_same_bits(got.exponents, want_a)
+        _assert_same_bits(got.coefficients, want_c)
+        codes = _radix_codes(p.exponents, q.exponents)
+        assert (codes is None) == (kind != "integer")
 
 
 class TestMultiply:
