@@ -21,6 +21,10 @@ import math
 import numpy as np
 
 
+# below this, a sum of squares (rounding included) cannot overflow float64
+_SAFE_SUM_OF_SQUARES = np.finfo(float).max / 2
+
+
 class NonHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
@@ -38,7 +42,12 @@ def _square(a, dtype):
 
 def _frobenius_norm(a):
     """Frobenius norm of a; a ValueError for non-finite entries or a norm
-    beyond float64, where no off-diagonal threshold is meaningful."""
+    beyond float64, where no off-diagonal threshold is meaningful.  The
+    checks and the overflow guard run only when the largest |entry| is
+    non-finite or size * max^2 could overflow the sum of squares."""
+    big = float(np.abs(a).max(initial=0.0))
+    if big * big * a.size < _SAFE_SUM_OF_SQUARES:
+        return float(np.linalg.norm(a))
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     with np.errstate(over="ignore"):

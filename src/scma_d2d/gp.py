@@ -12,6 +12,7 @@ hundred in magnitude are handled without overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ from .posynomial import ConvexFormProblem
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
+# a centering whose line search accepted no step down to 1e-18: its point
+# was never centered, so no gap is certified for it
+STALLED = "stalled"
+CENTERED = "centered"         # a centering's normal stop, not a solve status
 
 # a point counts as strictly feasible when every constraint has at least
 # this much negative slack in log form
@@ -53,6 +58,9 @@ class SolverResult:
     # increasing t; certified_gap is the last record's gap, and a later
     # solve with the same constraints can warm-start from it (see solve)
     path: list
+    # barrier evaluations made by the solve: y0's, the warm-start scan's
+    # and every line-search candidate's
+    evaluations: int
 
 
 @dataclass
@@ -83,22 +91,17 @@ class PackedConstraints:
         self.count = len(exponent_blocks)
         self.A = np.vstack(exponent_blocks)
         self.b = np.concatenate(offset_blocks)
-        sizes = np.array([len(b) for b in offset_blocks])
-        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        # the first block's row count, and the block of each later row
-        self.head = int(sizes[0])
-        self.tail_seg = np.repeat(np.arange(1, self.count), sizes[1:])
+        self.sizes = np.array([len(b) for b in offset_blocks])
+        self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        self.block = np.repeat(np.arange(self.count), self.sizes)   # block of each row
 
     def shifted_exp(self, y):
         """(lse value per block, exp(z - block max) per row, per-block sums
-        of those exps) at y, where z = A y + b.
-
-        The first block is shifted by its scalar max, so that a large first
-        block (the barrier's objective) costs no per-row gather."""
-        z = self.A @ y + self.b
+        of those exps) at y, where z = A y + b."""
+        z = self.A.dot(y)
+        z += self.b
         mx = np.maximum.reduceat(z, self.starts)
-        z[:self.head] -= mx[0]
-        z[self.head:] -= mx[self.tail_seg]
+        z -= mx[self.block]
         e = np.exp(z, out=z)
         sums = np.add.reduceat(e, self.starts)
         return mx + np.log(sums), e, sums
@@ -108,18 +111,25 @@ class PackedConstraints:
 
 
 class _Point:
-    """The barrier's arrays at one y: per-block LSE values, exp(z - block
-    max) per row and per-block sums of those exps.  None of them depends
-    on t, and neither do the derivative parts _Barrier.parts computes
-    from them, so those are kept here once computed: a second bundle at
-    the same y (a new t at a centering boundary, or the warm-start pick
-    that _center starts from) builds no Hessian again."""
+    """The barrier's values at one y: f0, -f_s per constraint, sum_s
+    log(-f_s), exp(z - block max) per row and per-block sums of those
+    exps.  phi at any t is then float arithmetic.  None of them depends
+    on t, and neither do the derivative parts _Barrier.parts computes from
+    them, so those are kept here once computed: a second bundle at the
+    same y (a new t at a centering boundary, or the warm-start pick that
+    _center starts from) builds no Hessian again.  step keeps the last
+    (t, phi, Newton step, grad . step) found here, so the warm-start scan's
+    direction at its pick is not solved again by _center."""
 
-    __slots__ = ("vals", "e", "sums", "parts")
+    __slots__ = ("f0", "negf", "logsum", "e", "sums", "parts", "step")
 
-    def __init__(self, vals, e, sums):
-        self.vals, self.e, self.sums = vals, e, sums
-        self.parts = None
+    def __init__(self, f0, negf, logsum, e, sums):
+        self.f0, self.negf, self.logsum, self.e, self.sums = f0, negf, logsum, e, sums
+        self.parts = self.step = None
+
+    def phi(self, t):
+        """The barrier value t*f0 - sum_s log(-f_s)."""
+        return t * self.f0 - self.logsum
 
 
 class _Barrier:
@@ -130,52 +140,66 @@ class _Barrier:
     With u = -1/f_s, row s of G the LSE gradient of block s and g0 its
     row 0, the gradient is t*g0 + G_con^T u and the Hessian is
     t*H_obj + H_con, where H_obj = A0^T diag(w0) A0 - g0 g0^T is the
-    objective's LSE Hessian and H_con = A_con^T diag(w u[block]) A_con +
-    G_con^T diag(u^2 - u) G_con, w being the per-block softmax weights.
-    g0, G_con^T u, H_obj and H_con do not depend on t.
+    objective's LSE Hessian and H_con = S^T diag(w u[block], u^2 - u) S
+    over the stacked rows S = [A_con; G_con], w being the per-block
+    softmax weights.  g0, G_con^T u, H_obj and H_con do not depend on t.
+    G_con is one product of the constant block-indicator matrix, scaled
+    by the constraint rows' weights, with A_con.
     """
 
     def __init__(self, obj_exponents, obj_offsets, con_exponents, con_offsets):
         self.packed = PackedConstraints([obj_exponents, *con_exponents],
                                         [obj_offsets, *con_offsets])
-        head = self.packed.head
+        head = self.head = int(self.packed.sizes[0])
+        a_con = self.packed.A[head:]
+        rows, n = a_con.shape
         self.a0 = self.packed.A[:head]
-        self.a_con = self.packed.A[head:]
-        # C-contiguous transposes: scaling their columns by row weights and
-        # multiplying by A is cheaper than the same product on A.T
+        # a C-contiguous transpose: scaling its columns by row weights and
+        # multiplying by A0 is cheaper than the same product on A0.T; the
+        # scaled copy is written into one buffer per barrier
         self.a0_t = np.ascontiguousarray(self.a0.T)
-        self.a_con_t = np.ascontiguousarray(self.a_con.T)
-        self.con_starts = self.packed.starts[1:] - head
-        self.con_block = self.packed.tail_seg - 1   # constraint index per row
+        self.scaled = np.empty_like(self.a0_t)
+        self.a_con = a_con
+        self.con_block = self.packed.block[head:] - 1   # constraint index per row
+        self.indicator = np.zeros((self.packed.count - 1, rows))
+        self.indicator[self.con_block, np.arange(rows)] = 1.0
+        self.stacked = np.empty((rows + len(self.indicator), n))
+        self.stacked[:rows] = a_con
+        self.diag = np.empty(len(self.stacked))
+        # the constants of the tangent pre-test's margin (see first_alpha)
+        self.row_norm = float(np.abs(a_con).sum(axis=1).max(initial=0.0))
+        self.offset_max = float(np.abs(self.packed.b[head:]).max(initial=0.0))
+        self.block_max = int(self.packed.sizes[1:].max(initial=0))
+        self.margin_unit = 8 * (n + 10 * self.block_max + 10) * (np.finfo(float).eps / 2)
+        self.evaluations = 0
 
     def evaluate(self, y):
         """A _Point at y, or None when y is outside the domain (some
         f_s >= 0).  One evaluation serves the line search and every
         later bundle at y."""
+        self.evaluations += 1
         vals, e, sums = self.packed.shifted_exp(y)
-        if vals[1:].max(initial=-np.inf) >= 0:
+        negf = -vals[1:]
+        if np.minimum.reduce(negf, initial=np.inf) <= 0:
             return None
-        return _Point(vals, e, sums)
-
-    @staticmethod
-    def phi(vals, t):
-        """The barrier value from the per-block LSE values [f0, f_1, ...]."""
-        return t * vals[0] - np.log(-vals[1:]).sum()
+        return _Point(float(vals[0]), negf, float(np.add.reduce(np.log(negf))), e, sums)
 
     def parts(self, point):
-        """(g0, G_con^T u, H_obj, H_con) at point."""
-        vals, e, sums = point.vals, point.e, point.sums
-        head = self.packed.head
-        u = -1.0 / vals[1:]
-        # block 0's gradient is one gemv over its (possibly thousands of)
-        # rows; the small constraint blocks share one reduceat
-        g0 = self.a0_t @ e[:head] / sums[0]
-        g_con = np.add.reduceat(self.a_con * e[head:, None], self.con_starts, axis=0)
-        g_con /= sums[1:, None]
-        c_con = e[head:] * (u / sums[1:])[self.con_block]
-        h_obj = (self.a0_t * (e[:head] / sums[0])) @ self.a0 - np.outer(g0, g0)
-        h_con = (self.a_con_t * c_con) @ self.a_con + (g_con.T * (u * u - u)) @ g_con
-        return g0, g_con.T @ u, h_obj, h_con
+        """(g0, G_con, G_con^T u, H_obj, H_con) at point."""
+        head, rows = self.head, len(self.a_con)
+        w = point.e / point.sums[self.packed.block]
+        w_con = w[head:]
+        g0 = self.a0_t.dot(w[:head])
+        h_obj = np.multiply(self.a0_t, w[:head], out=self.scaled).dot(self.a0)
+        h_obj -= g0[:, None] * g0
+        u = 1.0 / point.negf
+        g_con = (self.indicator * w_con).dot(self.a_con)
+        stacked, diag = self.stacked, self.diag
+        stacked[rows:] = g_con
+        np.multiply(w_con, u[self.con_block], out=diag[:rows])
+        np.multiply(u, u - 1.0, out=diag[rows:])
+        h_con = (stacked.T * diag).dot(stacked)
+        return g0, g_con, u.dot(g_con), h_obj, h_con
 
     def bundle(self, y, t, point=None):
         """(phi, gradient, Hessian, f0) at y; point, when given, is
@@ -187,14 +211,63 @@ class _Barrier:
                 raise FloatingPointError("barrier evaluated outside the domain")
         if point.parts is None:
             point.parts = self.parts(point)
-        g0, gu, h_obj, h_con = point.parts
-        return self.phi(point.vals, t), t * g0 + gu, t * h_obj + h_con, point.vals[0]
+        g0, _, gu, h_obj, h_con = point.parts
+        hess = h_obj * t
+        hess += h_con
+        return point.phi(t), t * g0 + gu, hess, point.f0
+
+    def newton(self, point, t):
+        """(phi, Newton step, grad . step) at point for weight t;
+        -grad . step is the squared Newton decrement."""
+        step = point.step
+        if step is None or step[0] != t:
+            val, grad, hess, _ = self.bundle(None, t, point)
+            point.step = step = (t, val, *_regularized_newton_step(hess, grad))
+        return step[1:]
+
+    def first_alpha(self, point, y, delta):
+        """The first step 2^-k (k >= 0) of the backtracking line search
+        from point along delta that the tangent pre-test keeps.
+
+        Each f_s is convex, so f_s(y + a delta) >= f_s(y) + a G_s . delta,
+        and a step whose tangent value clears margin is outside the
+        domain without being evaluated.  Let u = eps/2, n the number of
+        variables, L the longest block, K the largest 1-norm of a
+        constraint row, B the largest |offset|, c = n + 10L + 10, norms
+        max norms, and exp and log within 4 ulps.  Then the computed LSE
+        value at a point v is within c u (K |v| + B + |f_s(v)| + 1) of
+        the exact one, and the computed slope G_s . delta within
+        2c u (K |y| + B + 1) K |delta| (Higham, Accuracy and Stability of
+        Numerical Algorithms, 3.1).  With |f_s(v)| <= K |v| + B + log L,
+        |y + a delta| <= |y| + |delta| for a <= 1, and the rounding of
+        y + a delta itself (at most u K |y + a delta| in f_s), the errors
+        at y, at the candidate and in a times the slope sum to at most
+        half of margin = 8 c u S (1 + K |delta|), with
+        S = 2 (K |y| + B) + K |delta| + L + 1; the other half covers the
+        rounding of the test a G_s . delta > -f_s(y) + margin itself.  So
+        every step dropped would evaluate outside the domain, and the
+        steps the search evaluates are those it evaluates without the
+        test."""
+        slope = point.parts[1].dot(delta)
+        # a margin only keeps more steps: if the full step passes without
+        # one, it passes with it, and the margin need not be computed
+        if np.maximum.reduce(slope / point.negf, initial=0.0) <= 1.0:
+            return 1.0
+        k, d = self.row_norm, float(np.maximum.reduce(np.abs(delta)))
+        s = (2 * (k * float(np.maximum.reduce(np.abs(y))) + self.offset_max)
+             + k * d + self.block_max + 1)
+        ratio = float(np.maximum.reduce(slope / (point.negf + self.margin_unit * s * (1 + k * d))))
+        alpha = 1.0
+        while alpha * ratio > 1.0 and alpha >= 1e-18:
+            alpha *= LINE_SEARCH_BACKTRACK
+        return alpha
 
 
 def _regularized_newton_step(hess, grad):
-    """Solve hess d = -grad.  The plain solve is returned when it succeeds
-    with a finite descent direction (grad . d < 0), as it does for every
-    positive definite hess: one factorization per step.  Otherwise a
+    """(d, grad . d) for hess d = -grad.  The plain solve is returned when
+    it succeeds with a finite descent direction (grad . d < 0), as it does
+    for every positive definite hess: one factorization per step.  For a
+    finite grad, a finite grad . d implies a finite d.  Otherwise a
     Cholesky factorization checks positive definiteness; while it fails,
     1e-12*trace(H) (escalating tenfold) is put on the diagonal of hess, in
     place.  The diagonal and the trace are read at the first failure,
@@ -204,8 +277,9 @@ def _regularized_newton_step(hess, grad):
     except np.linalg.LinAlgError:
         pass
     else:
-        if np.isfinite(delta).all() and grad @ delta < 0:
-            return delta
+        descent = float(grad.dot(delta))
+        if descent < 0 and math.isfinite(descent):
+            return delta, descent
     diagonal = None
     for _ in range(60):
         try:
@@ -218,16 +292,9 @@ def _regularized_newton_step(hess, grad):
                 reg *= 10.0
             hess.flat[::len(grad) + 1] = diagonal + reg
             continue
-        return np.linalg.solve(hess, -grad)
+        delta = np.linalg.solve(hess, -grad)
+        return delta, float(grad.dot(delta))
     raise np.linalg.LinAlgError("Newton system could not be regularized")
-
-
-def _newton_direction(barrier, y, t, point):
-    """(phi, Newton step, grad . step) at y; -grad . step is the squared
-    Newton decrement."""
-    val, grad, hess, _ = barrier.bundle(y, t, point)
-    delta = _regularized_newton_step(hess, grad)
-    return val, delta, float(grad @ delta)
 
 
 def _center(barrier, y, point, t, callback=None):
@@ -238,58 +305,61 @@ def _center(barrier, y, point, t, callback=None):
     falls below NEWTON_TOL or below the float64 rounding floor of the
     barrier value itself: at large t the barrier magnitude reaches ~t*|f0|
     and quadratic-model improvements smaller than eps times that are not
-    representable, so demanding more would spin.  Returns (y, point,
-    centered, steps) at the point reached.
+    representable, so demanding more would spin.  The backtracking line
+    search starts at barrier.first_alpha.  Returns (y, point, stop, steps)
+    at the point reached, where stop is CENTERED, MAX_ITERATIONS, or
+    STALLED when the line search accepts no step down to 1e-18.
     """
     steps = 0
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     for _ in range(MAX_NEWTON):
-        val, delta, descent = _newton_direction(barrier, y, t, point)
-        decrement = np.sqrt(max(-descent, 0.0))
-        noise_floor = np.sqrt(32.0 * eps * abs(val))
-        if decrement <= max(NEWTON_TOL, noise_floor):
-            return y, point, True, steps
-        alpha = 1.0
+        val, delta, descent = barrier.newton(point, t)
+        decrement = math.sqrt(max(-descent, 0.0))
+        if decrement <= max(NEWTON_TOL, math.sqrt(32.0 * eps * abs(val))):
+            return y, point, CENTERED, steps
+        alpha = barrier.first_alpha(point, y, delta)
         accepted = None
         while alpha >= 1e-18:
-            cand = y + alpha * delta
+            cand = y + delta if alpha == 1.0 else y + alpha * delta
             cand_point = barrier.evaluate(cand)
             if cand_point is not None:
-                cand_val = barrier.phi(cand_point.vals, t)
+                cand_val = cand_point.phi(t)
                 if cand_val <= val + LINE_SEARCH_SLOPE * alpha * descent:
                     accepted = cand
                     break
             alpha *= LINE_SEARCH_BACKTRACK
-        if accepted is None or cand_val >= val:
+        if accepted is None:
+            return y, point, STALLED, steps
+        if cand_val >= val:
             # rounding floor: no representable progress possible
-            return y, point, True, steps
+            return y, point, CENTERED, steps
         y, point = accepted, cand_point
         steps += 1
         if callback is not None and callback(y):
-            return y, point, True, steps
-    return y, point, False, steps
+            return y, point, CENTERED, steps
+    return y, point, MAX_ITERATIONS, steps
 
 
 def _central_path(barrier, y, point, t, callback=None):
     """Center at barrier weight t, then BARRIER_MU times more each round,
-    until callback(y) asks to stop, a centering hits the Newton cap, or
+    until callback(y) asks to stop, a centering does not end CENTERED, or
     the certified gap m/t is at most DUALITY_GAP_TOL.
 
     Returns (status, steps, rows) with one (t, y, f0, m/t) row per
-    centering; status is MAX_ITERATIONS after a capped centering and OPTIMAL
-    otherwise.
+    centering; status is the stop of a centering that hit the Newton cap
+    (MAX_ITERATIONS) or stalled (STALLED), and OPTIMAL otherwise.
     """
     m = barrier.packed.count - 1
     total_steps = 0
     rows = []
     while True:
-        y, point, centered, steps = _center(barrier, y, point, t, callback)
+        y, point, stop, steps = _center(barrier, y, point, t, callback)
         total_steps += steps
-        rows.append((t, y, point.vals[0], m / t))
+        rows.append((t, y, point.f0, m / t))
         if callback is not None and callback(y):
             return OPTIMAL, total_steps, rows
-        if not centered:
-            return MAX_ITERATIONS, total_steps, rows
+        if stop != CENTERED:
+            return stop, total_steps, rows
         if m / t <= DUALITY_GAP_TOL:
             return OPTIMAL, total_steps, rows
         t *= BARRIER_MU
@@ -305,7 +375,7 @@ def _warm_start(barrier, path):
         point = barrier.evaluate(y)
         if point is None:
             break
-        if -_newton_direction(barrier, y, t, point)[2] > WARM_DECREMENT_SQ:
+        if -barrier.newton(point, t)[2] > WARM_DECREMENT_SQ:
             break
         start = (y, point, t)
     return start
@@ -321,8 +391,8 @@ def solve(problem: ConvexFormProblem, y0, *,
     resumes from the point _warm_start picks, at its t on the same
     INITIAL_T * BARRIER_MU**i grid, so the final t and certified gap are
     those of a cold solve.  With no usable point, or when a warm
-    centering hits the Newton cap, the solve runs cold from y0 at
-    t = INITIAL_T; the capped attempt's steps still count.
+    centering hits the Newton cap or stalls, the solve runs cold from y0
+    at t = INITIAL_T; the warm attempt's steps still count.
     """
     barrier = _Barrier(problem.objective_exponents, problem.objective_offsets,
                        problem.constraint_exponents, problem.constraint_offsets)
@@ -335,13 +405,14 @@ def solve(problem: ConvexFormProblem, y0, *,
     warm = _warm_start(barrier, warm_path) if warm_path else None
     if warm is not None:
         status, steps, rows = _central_path(barrier, *warm)
-    if warm is None or status == MAX_ITERATIONS:
+    if warm is None or status != OPTIMAL:
         status, cold_steps, rows = _central_path(barrier, y0, point, INITIAL_T)
         steps += cold_steps
     _, y, f0, gap = rows[-1]
     return SolverResult(y=y, x=np.exp(y), objective_value=float(np.exp(f0)),
                         status=status, newton_steps_used=steps,
-                        certified_gap=gap, path=rows)
+                        certified_gap=gap, path=rows,
+                        evaluations=barrier.evaluations)
 
 
 def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:

@@ -1,5 +1,7 @@
 """Tests for the Jacobi Hermitian eigensolver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scma_d2d.eig import (
     JacobiConvergenceError,
     NonHermitianError,
+    _frobenius_norm,
     _sweeps,
     hermitian_eigenvalues,
     jacobi_eigenvalues,
@@ -245,6 +248,17 @@ class TestInvalidInput:
             jacobi_eigenvalues(a)
         with pytest.raises(ValueError, match="overflows"):
             hermitian_eigenvalues(a)
+
+    @pytest.mark.parametrize("big", [1e153, 6e153])
+    def test_large_finite_norm_accepted(self, big):
+        """Entries on either side of the size * max^2 guard: below it the
+        norm skips the checks, above it they run; both give numpy's norm
+        and no warning."""
+        a = np.array([[0.0, big], [big, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _frobenius_norm(a) == float(np.linalg.norm(a))
+            assert _frobenius_norm(a.astype(complex)) == float(np.linalg.norm(a))
 
     def test_sweep_limit_raises(self):
         m = np.random.default_rng(3).normal(size=(6, 6))

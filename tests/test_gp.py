@@ -10,6 +10,7 @@ from scma_d2d import allocation, gp
 from scma_d2d.gp import (
     MAX_ITERATIONS,
     OPTIMAL,
+    STALLED,
     FeasibilityResult,
     find_feasible,
     logsumexp_bundle,
@@ -19,6 +20,7 @@ from scma_d2d.posynomial import (
     ConvexFormProblem,
     Monomial,
     Posynomial,
+    product,
     to_convex_form,
 )
 
@@ -188,8 +190,7 @@ class TestPackedBarrier:
         want_f0 = logsumexp_bundle(*obj, y)[0]
         assert f0 == pytest.approx(want_f0, rel=1e-12, abs=1e-12)
         assert phi == pytest.approx(want_phi, rel=1e-12, abs=1e-12)
-        assert barrier.phi(barrier.evaluate(y).vals, t) == pytest.approx(
-            phi, rel=1e-12, abs=1e-12)
+        assert barrier.evaluate(y).phi(t) == pytest.approx(phi, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10 * scale)
         np.testing.assert_allclose(hess, want_hess, rtol=1e-10, atol=1e-10 * scale)
 
@@ -199,8 +200,8 @@ class TestPackedBarrier:
         for i in range(n):
             step = np.zeros(n)
             step[i] = h
-            fd_grad[i] = (barrier.phi(barrier.evaluate(y + step).vals, t)
-                          - barrier.phi(barrier.evaluate(y - step).vals, t)) / (2 * h)
+            fd_grad[i] = (barrier.evaluate(y + step).phi(t)
+                          - barrier.evaluate(y - step).phi(t)) / (2 * h)
             fd_hess[:, i] = (barrier.bundle(y + step, t)[1]
                              - barrier.bundle(y - step, t)[1]) / (2 * h)
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-5 * scale)
@@ -299,7 +300,8 @@ class TestRegularizedStep:
         grad = np.linspace(-1.0, 2.0, len(hess))
         want, reg = self.reference_step(hess, grad)
         work = hess.copy()
-        got = gp._regularized_newton_step(work, grad)
+        got, descent = gp._regularized_newton_step(work, grad)
+        assert descent == float(grad @ got)
         assert reg > 0
         assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(work.diagonal(), hess.diagonal() + reg)
@@ -311,7 +313,8 @@ class TestRegularizedStep:
         hess = m @ m.T + 0.1 * np.eye(5)
         grad = np.linspace(-1.0, 2.0, 5)
         work = hess.copy()
-        got = gp._regularized_newton_step(work, grad)
+        got, descent = gp._regularized_newton_step(work, grad)
+        assert descent == float(grad @ got)
         assert got.tobytes() == np.linalg.solve(hess, -grad).tobytes()
         assert work.tobytes() == hess.tobytes()
 
@@ -324,7 +327,8 @@ class TestRegularizedStep:
         assert grad @ plain > 0
         want, reg = self.reference_step(hess, grad)
         work = hess.copy()
-        got = gp._regularized_newton_step(work, grad)
+        got, descent = gp._regularized_newton_step(work, grad)
+        assert descent == float(grad @ got)
         assert reg > 0
         assert got.tobytes() == want.tobytes()
         assert grad @ got < 0
@@ -586,9 +590,9 @@ class TestWarmStart:
         centerings = []
 
         def capped_first(barrier, y, point, t, callback=None):
-            y, point, centered, steps = real(barrier, y, point, t, callback)
+            y, point, stop, steps = real(barrier, y, point, t, callback)
             centerings.append((t, steps))
-            return y, point, centered and len(centerings) > 1, steps
+            return y, point, stop if len(centerings) > 1 else MAX_ITERATIONS, steps
 
         monkeypatch.setattr(gp, "_center", capped_first)
         res = solve(problem, y0=y0, warm_path=warm_path)
@@ -609,3 +613,195 @@ class TestWarmStart:
         res = solve(problem, y0=y0, warm_path=[(gp.INITIAL_T, y0 + 50.0)])
         np.testing.assert_array_equal(res.y, cold.y)
         assert res.newton_steps_used == cold.newton_steps_used
+
+
+REAL_CENTER = gp._center
+
+
+def _plain_center(barrier, y, point, t, callback=None):
+    """gp._center without the tangent pre-test: every line search starts
+    at alpha = 1 and evaluates each halving in turn.  The reference the
+    pre-test must match bit for bit."""
+    steps = 0
+    eps = np.finfo(float).eps
+    for _ in range(gp.MAX_NEWTON):
+        val, delta, descent = barrier.newton(point, t)
+        decrement = np.sqrt(max(-descent, 0.0))
+        if decrement <= max(gp.NEWTON_TOL, np.sqrt(32.0 * eps * abs(val))):
+            return y, point, gp.CENTERED, steps
+        alpha = 1.0
+        accepted = None
+        while alpha >= 1e-18:
+            cand = y + alpha * delta
+            cand_point = barrier.evaluate(cand)
+            if cand_point is not None:
+                cand_val = cand_point.phi(t)
+                if cand_val <= val + gp.LINE_SEARCH_SLOPE * alpha * descent:
+                    accepted = cand
+                    break
+            alpha *= gp.LINE_SEARCH_BACKTRACK
+        if accepted is None:
+            return y, point, gp.STALLED, steps
+        if cand_val >= val:
+            return y, point, gp.CENTERED, steps
+        y, point = accepted, cand_point
+        steps += 1
+        if callback is not None and callback(y):
+            return y, point, gp.CENTERED, steps
+    return y, point, gp.MAX_ITERATIONS, steps
+
+
+def _solver_bytes(res):
+    """Everything a SolverResult says about the iterates, as bytes."""
+    path = [(t, y.tobytes(), float(f0), gap) for t, y, f0, gap in res.path]
+    return repr((res.status, res.newton_steps_used, res.y.tobytes(), path))
+
+
+def _recorded(run, center):
+    """(run(), evaluations) with gp._center replaced by center; each
+    barrier evaluation is recorded as (y bytes, inside the domain)."""
+    calls = []
+    real = gp._Barrier.evaluate
+
+    def recording(self, y):
+        point = real(self, y)
+        calls.append((y.tobytes(), point is not None))
+        return point
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp._Barrier, "evaluate", recording)
+        patch.setattr(gp, "_center", center)
+        return run(), calls
+
+
+def assert_pretest_exact(run, fingerprint):
+    """run() gives the same fingerprint with the pre-test as with the
+    plain search, and its evaluations are the plain search's with some
+    outside the domain left out.  Returns how many were left out."""
+    want, want_calls = _recorded(run, _plain_center)
+    got, got_calls = _recorded(run, REAL_CENTER)
+    assert fingerprint(got) == fingerprint(want)
+    kept = iter(got_calls)
+    nxt = next(kept, None)
+    dropped = 0
+    for call in want_calls:
+        if call == nxt:
+            nxt = next(kept, None)
+        else:
+            assert not call[1], "the pre-test dropped a step inside the domain"
+            dropped += 1
+    assert nxt is None
+    return dropped
+
+
+def _trace_bytes(trace):
+    return repr([trace.rates()] + [_solver_bytes(p.solver) for p in trace.points])
+
+
+class TestTangentPretest:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           obj_rows=st.integers(1, 6),
+           con_sizes=st.lists(st.integers(1, 5), max_size=6))
+    def test_random_gps_match_plain_search(self, seed, n, obj_rows, con_sizes):
+        problem, w, _, _ = witness_gp(seed, n, obj_rows, con_sizes)
+        assert_pretest_exact(lambda: solve(problem, y0=w), _solver_bytes)
+
+    @pytest.mark.parametrize("seed", [2, 40])
+    def test_phase1_on_infeasible_draws_matches_plain_search(self, seed):
+        cfg, graph, ch, occ = make_scenario(seed=seed, jd=2)
+        p2 = allocation.build_p2(cfg, ch, graph, occ)
+        problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
+
+        def fingerprint(feas):
+            assert not feas.feasible
+            return repr((feas.status, feas.max_slack))
+
+        assert assert_pretest_exact(lambda: find_feasible(problem), fingerprint) > 0
+
+    @pytest.mark.parametrize("jd", [1, 2, 4])
+    def test_allocate_matches_plain_search(self, jd):
+        """Every pass and the phase-1 start of allocate, bit for bit."""
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=jd)
+        dropped = assert_pretest_exact(lambda: allocation.allocate(cfg, ch, graph, occ),
+                                       _trace_bytes)
+        assert dropped > 0
+
+    def test_margin_keeps_steps_that_round_inside(self):
+        """A full step whose computed tangent value is just above 0 but
+        which evaluates inside the domain is kept: the margin covers the
+        rounding.  A step four times as long is dropped down to 1/4, and a
+        step away from the boundary is never dropped."""
+        barrier = gp._Barrier(np.zeros((1, 3)), np.zeros(1), [np.array([[-3.0, 3.0, -3.0]])],
+                              [np.array([-2.206449877026825])])
+        y = np.array([0.24978537155866684, 1.0314530848694723, 0.16100957671534466])
+        delta = np.array([-0.10410403465025206, -0.2384620155922975, -0.2491831366888596])
+        point = barrier.evaluate(y)
+        barrier.bundle(y, 1.0, point)
+        slope = point.parts[1] @ delta
+        assert slope[0] / point.negf[0] > 1.0
+        assert barrier.evaluate(y + delta) is not None
+        assert barrier.first_alpha(point, y, delta) == 1.0
+        assert barrier.evaluate(y + 0.5 * (4 * delta)) is None
+        assert barrier.first_alpha(point, y, 4 * delta) == 0.25
+        assert barrier.first_alpha(point, y, -1000 * delta) == 1.0
+
+
+class TestStalledLineSearch:
+    @staticmethod
+    def reject_after_start(monkeypatch):
+        """Make every barrier evaluate None after its first (the start)."""
+        real = gp._Barrier.evaluate
+
+        def first_only(self, y):
+            point = real(self, y)
+            return point if self.evaluations == 1 else None
+
+        monkeypatch.setattr(gp._Barrier, "evaluate", first_only)
+
+    def test_solve_reports_stalled(self, monkeypatch):
+        """A line search that accepts no step ends the solve STALLED, with
+        no step taken: after y0, the halvings down to 1e-18 that the
+        pre-test keeps (at most 60) are evaluated."""
+        problem, w, _, _ = witness_gp(3, 3, 4, [2, 3])
+        self.reject_after_start(monkeypatch)
+        res = solve(problem, y0=w)
+        assert res.status == STALLED
+        assert res.newton_steps_used == 0
+        assert len(res.path) == 1
+        assert 1 < res.evaluations <= 1 + 60
+
+    def test_allocate_raises_on_stalled_pass(self, monkeypatch):
+        """Seed 1 at J_D = 1 starts from the half-cap point, so the stall
+        comes from pass 1's solve, and allocate raises for it."""
+        cfg, graph, ch, occ = make_scenario(seed=1, jd=1)
+        self.reject_after_start(monkeypatch)
+        with pytest.raises(allocation.AllocationSolverError, match="stalled") as err:
+            allocation.allocate(cfg, ch, graph, occ)
+        assert err.value.result.status == STALLED
+
+
+class TestEvaluationCount:
+    def test_counts_every_barrier_evaluation(self, monkeypatch):
+        """evaluations counts y0's, the warm-start scan's and every line
+        search candidate's evaluation of the solve's barrier."""
+        calls = allocate_solves(monkeypatch, seed=0, jd=1)
+        problem, y0, warm_path, _ = calls[2]
+        counted = []
+        real = gp._Barrier.evaluate
+
+        def counting(self, y):
+            counted.append(y)
+            return real(self, y)
+
+        monkeypatch.setattr(gp._Barrier, "evaluate", counting)
+        res = solve(problem, y0=y0, warm_path=warm_path)
+        assert res.evaluations == len(counted) > res.newton_steps_used
+
+    def test_jd4_allocate_evaluates_little_more_than_once_per_step(self):
+        """Without the tangent pre-test this figure is about 2.1."""
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=4)
+        trace = allocation.allocate(cfg, ch, graph, occ)
+        evaluations = sum(p.solver.evaluations for p in trace.points)
+        steps = sum(p.solver.newton_steps_used for p in trace.points)
+        assert evaluations < 1.2 * steps
