@@ -43,10 +43,13 @@ def _square(a, dtype):
 def _frobenius_norm(a):
     """Frobenius norm of a; a ValueError for non-finite entries or a norm
     beyond float64, where no off-diagonal threshold is meaningful.  The
-    checks and the overflow guard run only when the largest |entry| is
-    non-finite or size * max^2 could overflow the sum of squares."""
-    big = float(np.abs(a).max(initial=0.0))
-    if big * big * a.size < _SAFE_SUM_OF_SQUARES:
+    checks and the overflow guard run only when the largest real or
+    imaginary part is non-finite or parts * max^2 could overflow the sum
+    of squares.  The parts are read as floats: the modulus of a complex
+    entry with finite parts can itself overflow."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    big = float(np.abs(parts).max(initial=0.0))
+    if big * big * parts.size < _SAFE_SUM_OF_SQUARES:
         return float(np.linalg.norm(a))
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")

@@ -26,6 +26,10 @@ MAX_ITERATIONS = "max_iterations"
 STALLED = "stalled"
 CENTERED = "centered"         # a centering's normal stop, not a solve status
 
+# called directly, the reductions cost less than the array methods on
+# the kernel's small arrays
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
 # a point counts as strictly feasible when every constraint has at least
 # this much negative slack in log form
 FEASIBILITY_MARGIN = 1e-6
@@ -93,15 +97,21 @@ class PackedConstraints:
         self.b = np.concatenate(offset_blocks)
         self.sizes = np.array([len(b) for b in offset_blocks])
         self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
-        self.block = np.repeat(np.arange(self.count), self.sizes)   # block of each row
+        # the first block's row count, and the block of each later row
+        self.head = int(self.sizes[0])
+        self.tail_seg = np.repeat(np.arange(1, self.count), self.sizes[1:])
 
     def shifted_exp(self, y):
         """(lse value per block, exp(z - block max) per row, per-block sums
-        of those exps) at y, where z = A y + b."""
+        of those exps) at y, where z = A y + b.
+
+        The first block is shifted by its scalar max, so that a large first
+        block (the barrier's objective) costs no per-row gather."""
         z = self.A.dot(y)
         z += self.b
         mx = np.maximum.reduceat(z, self.starts)
-        z -= mx[self.block]
+        z[:self.head] -= mx[0]
+        z[self.head:] -= mx[self.tail_seg]
         e = np.exp(z, out=z)
         sums = np.add.reduceat(e, self.starts)
         return mx + np.log(sums), e, sums
@@ -140,34 +150,26 @@ class _Barrier:
     With u = -1/f_s, row s of G the LSE gradient of block s and g0 its
     row 0, the gradient is t*g0 + G_con^T u and the Hessian is
     t*H_obj + H_con, where H_obj = A0^T diag(w0) A0 - g0 g0^T is the
-    objective's LSE Hessian and H_con = S^T diag(w u[block], u^2 - u) S
-    over the stacked rows S = [A_con; G_con], w being the per-block
-    softmax weights.  g0, G_con^T u, H_obj and H_con do not depend on t.
-    G_con is one product of the constant block-indicator matrix, scaled
-    by the constraint rows' weights, with A_con.
+    objective's LSE Hessian and H_con = A_con^T diag(w u[block]) A_con +
+    G_con^T diag(u^2 - u) G_con, w being the per-block softmax weights.
+    g0, G_con^T u, H_obj and H_con do not depend on t.
     """
 
     def __init__(self, obj_exponents, obj_offsets, con_exponents, con_offsets):
         self.packed = PackedConstraints([obj_exponents, *con_exponents],
                                         [obj_offsets, *con_offsets])
-        head = self.head = int(self.packed.sizes[0])
-        a_con = self.packed.A[head:]
-        rows, n = a_con.shape
+        head = self.packed.head
         self.a0 = self.packed.A[:head]
-        # a C-contiguous transpose: scaling its columns by row weights and
-        # multiplying by A0 is cheaper than the same product on A0.T; the
-        # scaled copy is written into one buffer per barrier
+        self.a_con = self.packed.A[head:]
+        # C-contiguous transposes: scaling their columns by row weights and
+        # multiplying by A is cheaper than the same product on A.T
         self.a0_t = np.ascontiguousarray(self.a0.T)
-        self.scaled = np.empty_like(self.a0_t)
-        self.a_con = a_con
-        self.con_block = self.packed.block[head:] - 1   # constraint index per row
-        self.indicator = np.zeros((self.packed.count - 1, rows))
-        self.indicator[self.con_block, np.arange(rows)] = 1.0
-        self.stacked = np.empty((rows + len(self.indicator), n))
-        self.stacked[:rows] = a_con
-        self.diag = np.empty(len(self.stacked))
+        self.a_con_t = np.ascontiguousarray(self.a_con.T)
+        self.con_starts = self.packed.starts[1:] - head
+        self.con_block = self.packed.tail_seg - 1   # constraint index per row
         # the constants of the tangent pre-test's margin (see first_alpha)
-        self.row_norm = float(np.abs(a_con).sum(axis=1).max(initial=0.0))
+        n = self.packed.A.shape[1]
+        self.row_norm = float(np.abs(self.a_con).sum(axis=1).max(initial=0.0))
         self.offset_max = float(np.abs(self.packed.b[head:]).max(initial=0.0))
         self.block_max = int(self.packed.sizes[1:].max(initial=0))
         self.margin_unit = 8 * (n + 10 * self.block_max + 10) * (np.finfo(float).eps / 2)
@@ -180,25 +182,25 @@ class _Barrier:
         self.evaluations += 1
         vals, e, sums = self.packed.shifted_exp(y)
         negf = -vals[1:]
-        if np.minimum.reduce(negf, initial=np.inf) <= 0:
+        if len(negf) and _min(negf) <= 0:
             return None
-        return _Point(float(vals[0]), negf, float(np.add.reduce(np.log(negf))), e, sums)
+        return _Point(float(vals[0]), negf, float(_sum(np.log(negf))), e, sums)
 
     def parts(self, point):
         """(g0, G_con, G_con^T u, H_obj, H_con) at point."""
-        head, rows = self.head, len(self.a_con)
-        w = point.e / point.sums[self.packed.block]
-        w_con = w[head:]
-        g0 = self.a0_t.dot(w[:head])
-        h_obj = np.multiply(self.a0_t, w[:head], out=self.scaled).dot(self.a0)
-        h_obj -= g0[:, None] * g0
+        head = self.packed.head
+        e0, e_con = point.e[:head], point.e[head:]
+        s0, s_con = point.sums[0], point.sums[1:]
         u = 1.0 / point.negf
-        g_con = (self.indicator * w_con).dot(self.a_con)
-        stacked, diag = self.stacked, self.diag
-        stacked[rows:] = g_con
-        np.multiply(w_con, u[self.con_block], out=diag[:rows])
-        np.multiply(u, u - 1.0, out=diag[rows:])
-        h_con = (stacked.T * diag).dot(stacked)
+        # block 0's gradient is one gemv over its (possibly thousands of)
+        # rows; the small constraint blocks share one reduceat
+        g0 = self.a0_t.dot(e0) / s0
+        g_con = np.add.reduceat(self.a_con * e_con[:, None], self.con_starts, axis=0)
+        g_con /= s_con[:, None]
+        h_obj = (self.a0_t * (e0 / s0)).dot(self.a0)
+        h_obj -= g0[:, None] * g0
+        h_con = (self.a_con_t * (e_con * (u / s_con)[self.con_block])).dot(self.a_con)
+        h_con += (g_con.T * (u * u - u)).dot(g_con)
         return g0, g_con, u.dot(g_con), h_obj, h_con
 
     def bundle(self, y, t, point=None):
@@ -233,8 +235,9 @@ class _Barrier:
         and a step whose tangent value clears margin is outside the
         domain without being evaluated.  Let u = eps/2, n the number of
         variables, L the longest block, K the largest 1-norm of a
-        constraint row, B the largest |offset|, c = n + 10L + 10, norms
-        max norms, and exp and log within 4 ulps.  Then the computed LSE
+        constraint row, B the largest |offset|, c = n + 10L + 10, |v| the
+        2-norm (at least the max norm, which is all the bounds use), and
+        exp and log within 4 ulps.  Then the computed LSE
         value at a point v is within c u (K |v| + B + |f_s(v)| + 1) of
         the exact one, and the computed slope G_s . delta within
         2c u (K |y| + B + 1) K |delta| (Higham, Accuracy and Stability of
@@ -248,15 +251,10 @@ class _Barrier:
         every step dropped would evaluate outside the domain, and the
         steps the search evaluates are those it evaluates without the
         test."""
+        k, d = self.row_norm, math.sqrt(delta.dot(delta))
+        s = 2 * (k * math.sqrt(y.dot(y)) + self.offset_max) + k * d + self.block_max + 1
         slope = point.parts[1].dot(delta)
-        # a margin only keeps more steps: if the full step passes without
-        # one, it passes with it, and the margin need not be computed
-        if np.maximum.reduce(slope / point.negf, initial=0.0) <= 1.0:
-            return 1.0
-        k, d = self.row_norm, float(np.maximum.reduce(np.abs(delta)))
-        s = (2 * (k * float(np.maximum.reduce(np.abs(y))) + self.offset_max)
-             + k * d + self.block_max + 1)
-        ratio = float(np.maximum.reduce(slope / (point.negf + self.margin_unit * s * (1 + k * d))))
+        ratio = _max(slope / (point.negf + self.margin_unit * s * (1 + k * d))) if len(slope) else 0.0
         alpha = 1.0
         while alpha * ratio > 1.0 and alpha >= 1e-18:
             alpha *= LINE_SEARCH_BACKTRACK
@@ -320,7 +318,7 @@ def _center(barrier, y, point, t, callback=None):
         alpha = barrier.first_alpha(point, y, delta)
         accepted = None
         while alpha >= 1e-18:
-            cand = y + delta if alpha == 1.0 else y + alpha * delta
+            cand = y + alpha * delta
             cand_point = barrier.evaluate(cand)
             if cand_point is not None:
                 cand_val = cand_point.phi(t)

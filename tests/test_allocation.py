@@ -433,6 +433,21 @@ class TestExtremeChannelScales:
             assert trace.final.sum_rate_bits == pytest.approx(266.47, abs=5e-3)
             assert all(p.solver.certified_gap <= DUALITY_GAP_TOL for p in trace.points)
 
+    def test_small_cell_seed2_converges(self):
+        """A 5 m cell with 1 m D2D links, seed 2: seven passes whose last
+        gains are a few 1e-9 bits, near the 1e-8-bit ascent budget.  A
+        kernel that rounds the barrier's parts differently has ended pass
+        7 lower by 1.7e-8 bits and raised AllocationSolverError here, so
+        the Newton steps of every pass are pinned."""
+        cfg, graph, ch, occ = make_scenario(
+            seed=2, jd=1, cell_radius_m=5.0, d2d_distance_range_m=(1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = allocate(cfg, ch, graph, occ)
+        assert trace.converged
+        assert [p.solver.newton_steps_used for p in trace.points] == [70, 69, 62, 63, 80, 66, 72]
+        assert trace.final.sum_rate_bits == pytest.approx(133.9504783, abs=1e-6)
+
 
 class TestFeasibleStart:
     def test_half_cap_point_used_when_feasible(self):

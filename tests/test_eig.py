@@ -251,14 +251,29 @@ class TestInvalidInput:
 
     @pytest.mark.parametrize("big", [1e153, 6e153])
     def test_large_finite_norm_accepted(self, big):
-        """Entries on either side of the size * max^2 guard: below it the
+        """Entries on either side of the parts * max^2 guard: below it the
         norm skips the checks, above it they run; both give numpy's norm
-        and no warning."""
+        and no warning, for real entries and for complex ones with both
+        parts large."""
         a = np.array([[0.0, big], [big, 0.0]])
+        c = np.array([[0.0, big + 1j * big], [big - 1j * big, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _frobenius_norm(a) == float(np.linalg.norm(a))
             assert _frobenius_norm(a.astype(complex)) == float(np.linalg.norm(a))
+            assert _frobenius_norm(c) == float(np.linalg.norm(c))
+            assert _frobenius_norm(c.T) == float(np.linalg.norm(c.T))
+
+    @pytest.mark.parametrize("big", [1e200, 1.5e308])
+    def test_complex_modulus_overflow_rejected(self, big):
+        """Complex entries with finite parts whose modulus (1.5e308) or
+        whose norm (1e200) overflows raise the ValueError and no
+        warning."""
+        c = np.array([[0.0, big + 1j * big], [big - 1j * big, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                hermitian_eigenvalues(c)
 
     def test_sweep_limit_raises(self):
         m = np.random.default_rng(3).normal(size=(6, 6))
