@@ -242,12 +242,20 @@ class TestInvalidInput:
 
     def test_norm_overflow_rejected(self):
         """Entries near 1e200 are finite, but their Frobenius norm is not,
-        and a threshold of inf would end the sweeps before any rotation."""
+        and a threshold of inf would end the sweeps before any rotation.
+        Complex entries whose norm (1e200) or whose modulus (1.5e308)
+        overflows raise the same error and no warning."""
         a = np.array([[0.0, 1e200], [1e200, 0.0]])
         with pytest.raises(ValueError, match="overflows"):
             jacobi_eigenvalues(a)
         with pytest.raises(ValueError, match="overflows"):
             hermitian_eigenvalues(a)
+        for big in (1e200, 1.5e308):
+            c = np.array([[0.0, big + 1j * big], [big - 1j * big, 0.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflows"):
+                    hermitian_eigenvalues(c)
 
     @pytest.mark.parametrize("big", [1e153, 6e153])
     def test_large_finite_norm_accepted(self, big):
@@ -263,17 +271,6 @@ class TestInvalidInput:
             assert _frobenius_norm(a.astype(complex)) == float(np.linalg.norm(a))
             assert _frobenius_norm(c) == float(np.linalg.norm(c))
             assert _frobenius_norm(c.T) == float(np.linalg.norm(c.T))
-
-    @pytest.mark.parametrize("big", [1e200, 1.5e308])
-    def test_complex_modulus_overflow_rejected(self, big):
-        """Complex entries with finite parts whose modulus (1.5e308) or
-        whose norm (1e200) overflows raise the ValueError and no
-        warning."""
-        c = np.array([[0.0, big + 1j * big], [big - 1j * big, 0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows"):
-                hermitian_eigenvalues(c)
 
     def test_sweep_limit_raises(self):
         m = np.random.default_rng(3).normal(size=(6, 6))
