@@ -34,7 +34,6 @@ from .gp import (
 )
 from .posynomial import (
     ConvexFormProblem,
-    Monomial,
     Posynomial,
     condense,
     product,
@@ -146,28 +145,35 @@ def build_p2(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     """Complementary-GP data for one channel realization: per receiver r,
     f_r = noise + cross[r] @ x and g_r, f_r plus r's own signal; per
     variable v, its QoS floor f_r * floor_v / (gain_v x_v) <= 1 (C1, C2)
-    and its cap x_v / cap_v <= 1 (C3, C4)."""
+    and its cap x_v / cap_v <= 1 (C3, C4).
+
+    Every term is stored as Posynomial's merge would store it, without
+    the merge (Posynomial.from_distinct_rows): a factor's rows are the
+    zero row and unit rows of distinct variables (a receiver's own
+    variables never interfere at it), and a C1/C2 constraint's rows are
+    f_r's rows minus e_v, each coefficient f_r's times floor_v / gain_v,
+    the bytes f_r * Monomial(floor_v / gain_v, -e_v) gives."""
     reg, _ = variable_registry(graph, cfg.J_D)
     links = link_model(ch, graph, occupancy)
-    unit = np.eye(len(reg))
+    rows = np.eye(len(reg) + 1, len(reg), -1)   # the zero row, then e_v at 1 + v
     noise, signal = [], []
     for r, row in enumerate(links.cross):
         interferers = np.flatnonzero(row)
         own = np.flatnonzero(links.receiver == r)
-        coefficients = [links.noise, *row[interferers]]
-        exponents = [np.zeros(len(reg)), *unit[interferers]]
-        noise.append(Posynomial(reg, coefficients, exponents))
-        signal.append(Posynomial(reg, coefficients + list(links.gain[own]),
-                                 exponents + list(unit[own])))
+        coefficients = np.concatenate(([links.noise], row[interferers]))
+        terms = np.concatenate(([0], interferers + 1))
+        noise.append(Posynomial.from_distinct_rows(reg, coefficients, rows[terms]))
+        signal.append(Posynomial.from_distinct_rows(
+            reg, np.concatenate((coefficients, links.gain[own])),
+            rows[np.concatenate((terms, own + 1))]))
     floors, caps = _floors_and_caps(cfg, graph, links)
-    return P2Problem(
-        registry=reg,
-        numerator_factors=noise,
-        denominator_factors=signal,
-        constraints=[noise[r] * Monomial(floor / gain, -e, reg) for r, floor, gain, e
-                     in zip(links.receiver, floors, links.gain, unit)]
-        + [Monomial(1.0 / cap, e, reg).as_posynomial() for cap, e in zip(caps, unit)],
-    )
+    constraints = [Posynomial.from_distinct_rows(reg, noise[r].coefficients * (floor / gain),
+                                                 noise[r].exponents - e)
+                   for r, floor, gain, e in zip(links.receiver, floors, links.gain, rows[1:])]
+    constraints += [Posynomial.from_distinct_rows(reg, np.array([1.0 / cap]), rows[v + 1:v + 2])
+                    for v, cap in enumerate(caps)]
+    return P2Problem(registry=reg, numerator_factors=noise, denominator_factors=signal,
+                     constraints=constraints)
 
 
 def sum_rate(ch: ChannelRealization, graph: FactorGraph, occupancy,

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .posynomial import ConvexFormProblem
 
@@ -261,6 +262,20 @@ class _Barrier:
         return alpha
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _solve(a, b):
+    """np.linalg.solve(a, b) for a float64 matrix a and vector b, bit for
+    bit: the gufunc it wraps, under its error state, in which LAPACK's
+    singular-matrix flag raises LinAlgError.  The wrapper's array and
+    type checks cost more than the solve of a small system."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _regularized_newton_step(hess, grad):
     """(d, grad . d) for hess d = -grad.  The plain solve is returned when
     it succeeds with a finite descent direction (grad . d < 0), as it does
@@ -271,8 +286,8 @@ def _regularized_newton_step(hess, grad):
     place.  The diagonal and the trace are read at the first failure,
     before hess changes."""
     try:
-        delta = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
+        delta = _solve(hess, -grad)
+    except LinAlgError:
         pass
     else:
         descent = float(grad.dot(delta))
@@ -282,7 +297,7 @@ def _regularized_newton_step(hess, grad):
     for _ in range(60):
         try:
             np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
+        except LinAlgError:
             if diagonal is None:
                 diagonal = hess.diagonal().copy()
                 reg = 1e-12 * max(np.trace(hess), 1.0)
@@ -290,9 +305,9 @@ def _regularized_newton_step(hess, grad):
                 reg *= 10.0
             hess.flat[::len(grad) + 1] = diagonal + reg
             continue
-        delta = np.linalg.solve(hess, -grad)
+        delta = _solve(hess, -grad)
         return delta, float(grad.dot(delta))
-    raise np.linalg.LinAlgError("Newton system could not be regularized")
+    raise LinAlgError("Newton system could not be regularized")
 
 
 def _center(barrier, y, point, t, callback=None):

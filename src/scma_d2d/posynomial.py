@@ -122,6 +122,21 @@ class Posynomial:
         self.exponents.flags.writeable = False
 
     @classmethod
+    def from_distinct_rows(cls, registry, coefficients, exponents) -> "Posynomial":
+        """The posynomial of terms whose exponent rows are distinct
+        integers with no -0.0, stored as the merge stores them: the rows
+        in lexicographic order, each with its own coefficient, with one
+        np.lexsort and no rounding or merge.  The rows are not checked;
+        for such terms Posynomial(registry, coefficients, exponents)
+        stores the same bytes."""
+        _check_coefficients(coefficients)
+        order = np.lexsort(exponents.T[::-1])
+        out = cls.__new__(cls)
+        out.registry = tuple(registry)
+        out._set_terms(coefficients[order], exponents[order])
+        return out
+
+    @classmethod
     def from_monomials(cls, monomials) -> "Posynomial":
         monomials = list(monomials)
         if not monomials:
@@ -198,7 +213,8 @@ class Posynomial:
 
 
 def _check_coefficients(c):
-    if np.any(c <= 0) or not np.all(np.isfinite(c)):
+    # two reductions instead of two mask arrays; a NaN fails both tests
+    if not (c.min() > 0 and c.max() < np.inf):
         raise ValueError("posynomial coefficients must be positive and finite")
 
 

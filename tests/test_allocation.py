@@ -38,7 +38,7 @@ from scma_d2d.channel import ChannelRealization, ScenarioConfig
 from scma_d2d.experiments import ExperimentSpec, run_convergence
 from scma_d2d.factor_graph import build_factor_graph
 from scma_d2d.gp import DUALITY_GAP_TOL, logsumexp_bundle
-from scma_d2d.posynomial import condense, product, to_convex_form
+from scma_d2d.posynomial import Monomial, Posynomial, condense, product, to_convex_form
 
 
 def constraint_values(p2, x):
@@ -106,6 +106,62 @@ class TestBuildP2:
         again = unpack_allocation(graph, x)
         assert np.allclose(again.cellular, alloc.cellular)
         assert np.allclose(again.d2d, alloc.d2d)
+
+
+def merged_p2(cfg, ch, graph, occ):
+    """(numerator factors, denominator factors, constraints) built from
+    their raw terms through Posynomial's merge: each factor from its term
+    lists, each C1/C2 constraint as f_r * Monomial(floor_v / gain_v, -e_v)
+    and each cap as a Monomial: the reference build_p2 must match."""
+    reg, _ = variable_registry(graph, cfg.J_D)
+    links = allocation.link_model(ch, graph, occ)
+    unit = np.eye(len(reg))
+    noise, signal = [], []
+    for r, row in enumerate(links.cross):
+        interferers = np.flatnonzero(row)
+        own = np.flatnonzero(links.receiver == r)
+        coefficients = [links.noise, *row[interferers]]
+        exponents = [np.zeros(len(reg)), *unit[interferers]]
+        noise.append(Posynomial(reg, coefficients, exponents))
+        signal.append(Posynomial(reg, coefficients + list(links.gain[own]),
+                                 exponents + list(unit[own])))
+    floors, caps = allocation._floors_and_caps(cfg, graph, links)
+    constraints = [noise[r] * Monomial(floor / gain, -e, reg) for r, floor, gain, e
+                   in zip(links.receiver, floors, links.gain, unit)]
+    constraints += [Monomial(1.0 / cap, e, reg).as_posynomial() for cap, e in zip(caps, unit)]
+    return noise, signal, constraints
+
+
+MERGE_FREE_CASES = [(k, j, jd) for k, j, jds in ((4, 6, range(5)), (6, 15, (1, 3, 6)),
+                                                 (8, 28, (1, 4, 8)))
+                    for jd in jds]
+
+
+class TestMergeFreeBuild:
+    @pytest.mark.parametrize("k, j, jd", MERGE_FREE_CASES)
+    def test_matches_merged_build(self, k, j, jd):
+        """On seeds 0-9, every factor and constraint build_p2 stores
+        without the merge is, byte for byte, the merge's posynomial of the
+        same terms: rows strictly increasing in lexicographic order, with
+        no -0.0."""
+        for seed in range(10):
+            cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd, K=k, J=j)
+            p2 = build_p2(cfg, ch, graph, occ)
+            got = (p2.numerator_factors, p2.denominator_factors, p2.constraints)
+            for have, want in zip(got, merged_p2(cfg, ch, graph, occ)):
+                assert len(have) == len(want)
+                for p, q in zip(have, want):
+                    assert p.registry == q.registry == p2.registry
+                    assert p.coefficients.shape == q.coefficients.shape
+                    assert p.exponents.shape == q.exponents.shape
+                    assert p.coefficients.tobytes() == q.coefficients.tobytes()
+                    assert p.exponents.tobytes() == q.exponents.tobytes()
+                    step = np.diff(p.exponents, axis=0)
+                    first = (step != 0).argmax(axis=1)
+                    assert (step[np.arange(len(step)), first] > 0).all()
+                    assert not np.signbit(p.exponents).any(where=p.exponents == 0)
+                    assert not p.coefficients.flags.writeable
+                    assert not p.exponents.flags.writeable
 
 
 class TestExpandDenominator:

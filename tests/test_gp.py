@@ -747,6 +747,113 @@ class TestTangentPretest:
         assert barrier.first_alpha(point, y, -1000 * delta) == 1.0
 
 
+def _wrapped_newton_step(hess, grad):
+    """gp._regularized_newton_step with every system solved by
+    np.linalg.solve, wrapper and all: the reference the direct LAPACK
+    solve must match bit for bit."""
+    try:
+        delta = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        descent = float(grad.dot(delta))
+        if descent < 0 and np.isfinite(descent):
+            return delta, descent
+    diagonal = None
+    for _ in range(60):
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            if diagonal is None:
+                diagonal = hess.diagonal().copy()
+                reg = 1e-12 * max(np.trace(hess), 1.0)
+            else:
+                reg *= 10.0
+            hess.flat[::len(grad) + 1] = diagonal + reg
+            continue
+        delta = np.linalg.solve(hess, -grad)
+        return delta, float(grad.dot(delta))
+    raise np.linalg.LinAlgError("Newton system could not be regularized")
+
+
+def assert_direct_solve_exact(run, fingerprint):
+    """run() gives the same fingerprint, and evaluates the barrier at the
+    same points in the same order, with gp's Newton step as with
+    _wrapped_newton_step."""
+    results = []
+    for step in (_wrapped_newton_step, gp._regularized_newton_step):
+        calls = []
+        real = gp._Barrier.evaluate
+
+        def recording(self, y):
+            calls.append(y.tobytes())
+            return real(self, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gp._Barrier, "evaluate", recording)
+            patch.setattr(gp, "_regularized_newton_step", step)
+            results.append((fingerprint(run()), calls))
+    assert results[0][1]
+    assert results[0] == results[1]
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("n", [1, 4, 14, 16])
+    def test_matches_numpy_solve(self, n):
+        """gp._solve returns np.linalg.solve's bytes on SPD, indefinite
+        and badly scaled systems."""
+        rng = np.random.default_rng(n)
+        for scale in (1e-12, 1.0, 1e9):
+            m = rng.normal(size=(n, n))
+            for a in (m @ m.T + 1e-3 * np.eye(n), m, m * scale):
+                b = rng.normal(size=n) * scale
+                assert gp._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+    @pytest.mark.parametrize("hess", [
+        np.zeros((3, 3)),
+        np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        np.diag([4.0, 0.0, 1.0, 2.0]),
+    ], ids=["zero", "rank-1", "zero-eigenvalue"])
+    def test_singular_raises_without_warning(self, hess):
+        """A singular system raises LinAlgError, as np.linalg.solve does,
+        with no RuntimeWarning (those fail every test), so the Newton
+        step takes the Cholesky branch: its result is the reference's."""
+        grad = np.linspace(-1.0, 2.0, len(hess))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            gp._solve(hess, -grad)
+        want = _wrapped_newton_step(hess.copy(), grad)
+        got = gp._regularized_newton_step(hess.copy(), grad)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("jd", [1, 2, 4])
+    def test_allocate_matches_wrapped_solve(self, jd):
+        """Every pass and the phase-1 start of allocate on seeds 0-2, bit
+        for bit: rates, y, path and Newton steps, or the best slack of a
+        draw certified infeasible."""
+        def run():
+            try:
+                return _trace_bytes(allocation.allocate(cfg, ch, graph, occ))
+            except allocation.InfeasibleScenarioError as err:
+                return repr(err.max_slack)
+
+        for seed in range(3):
+            cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd)
+            assert_direct_solve_exact(run, str)
+
+    @pytest.mark.parametrize("seed", [2, 40])
+    def test_phase1_on_infeasible_draws_matches_wrapped_solve(self, seed):
+        cfg, graph, ch, occ = make_scenario(seed=seed, jd=2)
+        p2 = allocation.build_p2(cfg, ch, graph, occ)
+        problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
+
+        def fingerprint(feas):
+            assert not feas.feasible
+            return repr((feas.status, feas.max_slack))
+
+        assert_direct_solve_exact(lambda: find_feasible(problem), fingerprint)
+
+
 class TestStalledLineSearch:
     @staticmethod
     def reject_after_start(monkeypatch):

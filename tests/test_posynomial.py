@@ -104,6 +104,31 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Posynomial(REG2, [1.0, -2.0], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_coefficients(self, bad):
+        """Every constructor rejects a zero, negative, infinite or NaN
+        coefficient, the merge-free one included."""
+        c = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="positive and finite"):
+            Posynomial(REG2, c, np.eye(2))
+        with pytest.raises(ValueError, match="positive and finite"):
+            Posynomial.from_distinct_rows(REG2, c, np.eye(2))
+
+    def test_distinct_rows_stored_as_merged(self):
+        """Distinct integer rows in any order are stored as the merge
+        stores them, byte for byte."""
+        rng = np.random.default_rng(8)
+        reg = ("a", "b", "c", "d")
+        for _ in range(20):
+            rows = np.unique(rng.integers(-2, 3, size=(12, 4)).astype(float), axis=0) + 0.0
+            rows = rows[rng.permutation(len(rows))]
+            c = rng.uniform(0.1, 5.0, size=len(rows))
+            got = Posynomial.from_distinct_rows(reg, c, rows)
+            want = Posynomial(reg, c, rows)
+            assert got.registry == want.registry
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            assert got.exponents.tobytes() == want.exponents.tobytes()
+
     def test_empty_registry_rejected(self):
         """A posynomial over no variables is a clear ValueError, not an
         error from deep inside the term merge."""
