@@ -213,7 +213,7 @@ class Posynomial:
 
 
 def _check_coefficients(c):
-    # two reductions instead of two mask arrays; a NaN fails both tests
+    # two reductions and no mask arrays; a NaN fails both tests
     if not (c.min() > 0 and c.max() < np.inf):
         raise ValueError("posynomial coefficients must be positive and finite")
 
