@@ -93,7 +93,6 @@ from .posynomial import (
     Monomial,
     Posynomial,
     condense,
-    multiply,
     product,
     to_convex_form,
 )

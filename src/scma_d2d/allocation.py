@@ -46,6 +46,8 @@ REL_TOL = 1e-6
 # a pass may lower the sum rate by at most this many bits (rounding and
 # the solver's certified gap); a larger fall is a solver fault
 ASCENT_TOL_BITS = 1e-8
+# the random baseline's draws per call
+MAX_RESAMPLE = 1000
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -240,7 +242,7 @@ def feasible_start(cfg, graph, problem: ConvexFormProblem) -> np.ndarray:
     half = initial_allocation(cfg, graph)
     x0 = pack_allocation(graph, half.cellular, half.d2d)
     packed = PackedConstraints(problem.constraint_exponents, problem.constraint_offsets)
-    if packed.values(np.log(x0)).max() < 0:
+    if packed.shifted_exp(np.log(x0))[0].max() < 0:
         return x0
     feas = find_feasible(problem)
     if not feas.feasible:
@@ -335,30 +337,20 @@ def qos_violations(cfg: ScenarioConfig, ch: ChannelRealization,
                        pack_allocation(graph, cellular, d2d))
 
 
-def qos_violation(cfg: ScenarioConfig, ch: ChannelRealization,
-                  graph: FactorGraph, occupancy, alloc: PowerAllocation) -> float:
-    """qos_violations for the one allocation alloc."""
-    return float(qos_violations(cfg, ch, graph, occupancy,
-                                alloc.cellular[None], alloc.d2d[None])[0])
-
-
 def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
-                    graph: FactorGraph, occupancy, rng,
-                    max_resample: int = 1000) -> BaselineDraw:
+                    graph: FactorGraph, occupancy, rng) -> BaselineDraw:
     """Uniform powers on (0, cap], resampled until the QoS floors hold.
 
-    When max_resample draws all violate some floor, the least-violating
+    When MAX_RESAMPLE draws all violate some floor, the least-violating
     draw is returned with feasible=False.  Each draw takes J*K uniforms
     for the cellular powers (row-major), then J_D for the D2D powers, and
     rng advances by exactly the draws used.
     """
-    if max_resample < 1:
-        raise ValueError(f"max_resample must be at least 1, got {max_resample}")
     n_cell = cfg.J * cfg.K
-    # all max_resample draws as rows of one block: the same numbers as
+    # all MAX_RESAMPLE draws as rows of one block: the same numbers as
     # drawing them one after another
     saved = rng.bit_generator.state
-    block = 1.0 - rng.uniform(size=(max_resample, n_cell + cfg.J_D))
+    block = 1.0 - rng.uniform(size=(MAX_RESAMPLE, n_cell + cfg.J_D))
     links = link_model(ch, graph, occupancy)
     _, caps = _floors_and_caps(cfg, graph, links)
     x = pack_allocation(graph, block[:, :n_cell].reshape(-1, cfg.J, cfg.K),
@@ -367,8 +359,8 @@ def random_baseline(cfg: ScenarioConfig, ch: ChannelRealization,
     met = np.flatnonzero(violation <= 1.0)
     feasible = met.size > 0
     row = int(met[0]) if feasible else int(np.argmin(violation))
-    used = row + 1 if feasible else max_resample
-    if used < max_resample:
+    used = row + 1 if feasible else MAX_RESAMPLE
+    if used < MAX_RESAMPLE:
         # hand the caller's generator back as if only `used` draws were made
         rng.bit_generator.state = saved
         rng.uniform(size=(used, n_cell + cfg.J_D))

@@ -230,19 +230,15 @@ def rayleigh_fading(rng, size):
     return (rng.normal(size=size) + 1j * rng.normal(size=size)) / np.sqrt(2)
 
 
-def _gain(rng, kind, distance_m, size, unit_fading):
+def _gain(rng, kind, distance_m, size):
     amp = np.sqrt(db_to_linear(-path_loss_db(LINK_MODELS[kind], distance_m)))
-    fade = 1.0 if unit_fading else rayleigh_fading(rng, size)
-    return fade * amp
+    return rayleigh_fading(rng, size) * amp
 
 
 def sample_channels(cfg: ScenarioConfig, geo: NodeGeometry,
-                    rng: np.random.Generator,
-                    unit_fading: bool = False) -> ChannelRealization:
+                    rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization for the given geometry.
 
-    With unit_fading=True the Gaussian factor is pinned to 1 (and no random
-    numbers are consumed), exposing the pure path-loss gains for tests.
     Cellular fading is independent per subcarrier; per-pair draws happen
     pair by pair (see module docstring).
     """
@@ -250,18 +246,18 @@ def sample_channels(cfg: ScenarioConfig, geo: NodeGeometry,
     cell_dist = np.linalg.norm(geo.cell_user_positions - bs, axis=1)
     cell_to_bs = np.empty((cfg.J, cfg.K), dtype=complex)
     for j in range(cfg.J):
-        cell_to_bs[j] = _gain(rng, "cell_to_bs", cell_dist[j], cfg.K, unit_fading)
+        cell_to_bs[j] = _gain(rng, "cell_to_bs", cell_dist[j], cfg.K)
     d2d_to_bs = np.empty(cfg.J_D, dtype=complex)
     d2d_pair = np.empty(cfg.J_D, dtype=complex)
     cell_to_d2d = np.empty((cfg.J, cfg.J_D), dtype=complex)
     for l in range(cfg.J_D):
         tx, rx = geo.d2d_tx_positions[l], geo.d2d_rx_positions[l]
-        d2d_to_bs[l] = _gain(rng, "d2d_to_bs", np.linalg.norm(tx - bs), None, unit_fading)
-        d2d_pair[l] = _gain(rng, "d2d_pair", np.linalg.norm(tx - rx), None, unit_fading)
+        d2d_to_bs[l] = _gain(rng, "d2d_to_bs", np.linalg.norm(tx - bs), None)
+        d2d_pair[l] = _gain(rng, "d2d_pair", np.linalg.norm(tx - rx), None)
         for j in range(cfg.J):
             cell_to_d2d[j, l] = _gain(
                 rng, "cell_to_d2d",
-                np.linalg.norm(geo.cell_user_positions[j] - rx), None, unit_fading)
+                np.linalg.norm(geo.cell_user_positions[j] - rx), None)
     return ChannelRealization(
         cell_to_bs=cell_to_bs,
         d2d_to_bs=d2d_to_bs,

@@ -1,5 +1,5 @@
-"""Cyclic Jacobi eigensolver for complex Hermitian and real symmetric
-matrices.  Matrices here are tiny (K <= 8), where Jacobi's simplicity and
+"""Cyclic Jacobi eigensolver for Hermitian matrices, real symmetric ones
+included.  Matrices here are tiny (K <= 8), where Jacobi's simplicity and
 unconditional convergence beat any fancier scheme.
 
 A sweep visits each upper-triangle entry q_pr = |q_pr| e (p < r, |e| = 1)
@@ -31,13 +31,6 @@ class NonHermitianError(ValueError):
 
 class JacobiConvergenceError(RuntimeError):
     """Sweep limit reached before the off-diagonal threshold."""
-
-
-def _square(a, dtype):
-    a = np.asarray(a, dtype=dtype)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    return a
 
 
 def _frobenius_norm(a):
@@ -103,16 +96,12 @@ def _sweeps(a, thresh, max_sweeps):
     return np.sort([row[i].real for i, row in enumerate(a)], kind="stable")
 
 
-def jacobi_eigenvalues(a, off_diag_rel_tol=1e-12, max_sweeps=60):
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi, ascending,
-    rotating entries above off_diag_rel_tol times its Frobenius norm."""
-    a = _square(a, float)
-    return _sweeps(a.tolist(), off_diag_rel_tol * _frobenius_norm(a), max_sweeps)
-
-
 def hermitian_eigenvalues(q):
-    """Real eigenvalues of a Hermitian matrix in nondecreasing order."""
-    q = _square(q, complex)
+    """Real eigenvalues of a Hermitian matrix in nondecreasing order; a
+    real symmetric q gives real Jacobi's bits (see the module docstring)."""
+    q = np.asarray(q, dtype=complex)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ValueError("matrix must be square")
     norm = _frobenius_norm(q)
     if np.linalg.norm(q - q.conj().T) > 1e-10 * max(norm, 1e-300):
         raise NonHermitianError("matrix is not Hermitian within 1e-10 relative")

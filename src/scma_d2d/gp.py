@@ -117,9 +117,6 @@ class PackedConstraints:
         sums = np.add.reduceat(e, self.starts)
         return mx + np.log(sums), e, sums
 
-    def values(self, y):
-        return self.shifted_exp(y)[0]
-
 
 class _Point:
     """The barrier's values at one y: f0, -f_s per constraint, sum_s
@@ -204,14 +201,9 @@ class _Barrier:
         h_con += (g_con.T * (u * u - u)).dot(g_con)
         return g0, g_con, u.dot(g_con), h_obj, h_con
 
-    def bundle(self, y, t, point=None):
-        """(phi, gradient, Hessian, f0) at y; point, when given, is
-        evaluate(y) and is used instead of evaluating again.  The
+    def bundle(self, point, t):
+        """(phi, gradient, Hessian, f0) at the evaluated point.  The
         Hessian is a new array, so the caller may change it."""
-        if point is None:
-            point = self.evaluate(y)
-            if point is None:
-                raise FloatingPointError("barrier evaluated outside the domain")
         if point.parts is None:
             point.parts = self.parts(point)
         g0, _, gu, h_obj, h_con = point.parts
@@ -224,7 +216,7 @@ class _Barrier:
         -grad . step is the squared Newton decrement."""
         step = point.step
         if step is None or step[0] != t:
-            val, grad, hess, _ = self.bundle(None, t, point)
+            val, grad, hess, _ = self.bundle(point, t)
             point.step = step = (t, val, *_regularized_newton_step(hess, grad))
         return step[1:]
 
@@ -451,13 +443,13 @@ def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
     barrier = _Barrier(obj_a, np.zeros(1), ext_a, problem.constraint_offsets)
 
     y = np.zeros(n)
-    tau = float(packed.values(y).max()) + 1.0
+    tau = float(packed.shifted_exp(y)[0].max()) + 1.0
     z = np.concatenate([y, [tau]])
     best_slack = tau - 1.0
 
     def early_exit(point):
         nonlocal best_slack
-        slack = float(packed.values(point[:-1]).max())
+        slack = float(packed.shifted_exp(point[:-1])[0].max())
         best_slack = min(best_slack, slack)
         return slack < -FEASIBILITY_MARGIN
 

@@ -316,11 +316,6 @@ def _merge_product(c, a, d, b):
     return merged, rows
 
 
-def multiply(p: Posynomial, q: Posynomial) -> Posynomial:
-    """Distributed product; evaluation homomorphism by construction."""
-    return p * q
-
-
 def product(factors) -> Posynomial:
     """Product of an iterable of posynomials over one registry."""
     factors = list(factors)
@@ -369,10 +364,6 @@ class ConvexFormProblem:
     @property
     def n_variables(self):
         return len(self.registry)
-
-    @property
-    def n_inequalities(self):
-        return len(self.constraint_exponents)
 
 
 def to_convex_form(objective: Posynomial, constraints=()) -> ConvexFormProblem:

@@ -83,12 +83,20 @@ class TestGeometry:
         assert not np.array_equal(a.cell_user_positions, b.cell_user_positions)
 
 
+class UnitFading:
+    """A stand-in generator whose normal draws are all 1, so every fade
+    (1 + 1j) / sqrt(2) has unit power and the gains expose the path loss."""
+
+    @staticmethod
+    def normal(size=None):
+        return np.ones(() if size is None else size)
+
+
 class TestChannels:
     def test_unit_fading_exposes_path_loss(self):
         cfg = ScenarioConfig(seed=3)
-        streams = rng_streams(cfg.seed)
-        geo = sample_geometry(cfg, streams.geometry)
-        ch = sample_channels(cfg, geo, streams.fading, unit_fading=True)
+        geo = sample_geometry(cfg, rng_streams(cfg.seed).geometry)
+        ch = sample_channels(cfg, geo, UnitFading())
         d = np.linalg.norm(geo.cell_user_positions, axis=1)
         for j in range(cfg.J):
             expected = db_to_linear(-path_loss_db("cellular", d[j]))
@@ -98,9 +106,8 @@ class TestChannels:
         """Base-station-terminated links take the cellular model; links into
         a device take the device model."""
         cfg = ScenarioConfig(J_D=2, seed=3)
-        streams = rng_streams(cfg.seed)
-        geo = sample_geometry(cfg, streams.geometry)
-        ch = sample_channels(cfg, geo, streams.fading, unit_fading=True)
+        geo = sample_geometry(cfg, rng_streams(cfg.seed).geometry)
+        ch = sample_channels(cfg, geo, UnitFading())
         for l in range(2):
             d_tx_bs = np.linalg.norm(geo.d2d_tx_positions[l])
             assert np.abs(ch.d2d_to_bs[l]) ** 2 == pytest.approx(

@@ -28,8 +28,9 @@ newton_steps_cold.json keeps those counts as they were when every pass
 started the barrier cold at t = 1; no recorder writes it.  Against it,
 the warm-started solves must take the same steps in the first pass, no
 more steps in any pass, and the same number of passes.
-jacobi_eigenvalues.json holds seeded eigensolver inputs with their
-eigenvalues as float.hex strings; both solvers must give them bit for bit.
+jacobi_eigenvalues.json holds seeded real symmetric and complex Hermitian
+eigensolver inputs with their eigenvalues as float.hex strings, which
+hermitian_eigenvalues must give bit for bit.
 """
 
 import csv
@@ -61,7 +62,7 @@ from scma_d2d.channel import (
     sample_channels,
     sample_geometry,
 )
-from scma_d2d.eig import hermitian_eigenvalues, jacobi_eigenvalues
+from scma_d2d.eig import hermitian_eigenvalues
 from scma_d2d.experiments import (
     ExperimentSpec,
     run_baseline_comparison,
@@ -350,11 +351,9 @@ def _unhex(strings):
 
 
 def _eigenvalues(re_part, im_part):
-    """jacobi_eigenvalues of a real input, hermitian_eigenvalues of a
-    complex one (im_part given)."""
-    if im_part is None:
-        return jacobi_eigenvalues(re_part)
-    return hermitian_eigenvalues(re_part + 1j * im_part)
+    """hermitian_eigenvalues of a real input, or of a complex one when
+    im_part is given."""
+    return hermitian_eigenvalues(re_part if im_part is None else re_part + 1j * im_part)
 
 
 def _record_eigenvalues(out_dir):
@@ -601,9 +600,8 @@ def test_newton_steps_within_cold_ceiling(fresh):
 
 
 def test_eigenvalues_match_golden_bit_for_bit():
-    """jacobi_eigenvalues (real inputs) and hermitian_eigenvalues (complex
-    ones) give the recorded eigenvalues, to the last bit, on the recorded
-    inputs."""
+    """hermitian_eigenvalues gives the recorded eigenvalues, to the last
+    bit, on the recorded real and complex inputs."""
     cases = json.loads((FIXTURES / EIG_FILE).read_text())
     assert len(cases) == len(_eig_cases())
     for case in cases:
