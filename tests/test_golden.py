@@ -361,8 +361,7 @@ def _record_eigenvalues(out_dir):
     with the inputs themselves."""
     cases = []
     for name, re_part, im_part in _eig_cases():
-        function = "jacobi_eigenvalues" if im_part is None else "hermitian_eigenvalues"
-        case = {"name": name, "function": function, "real": _hex(re_part)}
+        case = {"name": name, "function": "hermitian_eigenvalues", "real": _hex(re_part)}
         if im_part is not None:
             case["imag"] = _hex(im_part)
         case["eigenvalues"] = _hex(_eigenvalues(re_part, im_part))
