@@ -77,6 +77,7 @@ class P2Problem:
     numerator_factors: list    # K tone factors then J_D pair factors
     denominator_factors: list  # same order, with signal terms added
     constraints: list          # C1 (per user-tone), C2 (per pair), C3, C4
+    links: Links               # the link model all of the above were built from
 
 
 def variable_registry(graph: FactorGraph, n_pairs: int):
@@ -117,6 +118,13 @@ class Links:
     def heard(self, x):
         """Noise plus interference at every receiver (per row of x)."""
         return self.noise + x @ self.cross.T
+
+    def sum_rate(self, x, n_tones) -> float:
+        """log2(1 + signal / heard) at packed powers x, summed over the
+        n_tones base-station receivers first, then over the pairs'."""
+        signal = np.bincount(self.receiver, self.gain * x, len(self.cross))
+        rates = np.log2(1.0 + signal / self.heard(x))
+        return float(sum(rates[:n_tones]) + sum(rates[n_tones:]))
 
 
 def link_model(ch: ChannelRealization, graph: FactorGraph, occupancy) -> Links:
@@ -175,7 +183,7 @@ def build_p2(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     constraints += [Posynomial.from_distinct_rows(reg, np.array([1.0 / cap]), rows[v + 1:v + 2])
                     for v, cap in enumerate(caps)]
     return P2Problem(registry=reg, numerator_factors=noise, denominator_factors=signal,
-                     constraints=constraints)
+                     constraints=constraints, links=links)
 
 
 def sum_rate(ch: ChannelRealization, graph: FactorGraph, occupancy,
@@ -184,11 +192,8 @@ def sum_rate(ch: ChannelRealization, graph: FactorGraph, occupancy,
     the base station's tones, then over the pairs' receivers, the order
     of capacity's closed forms."""
     alloc.check_support(graph)
-    links = link_model(ch, graph, occupancy)
-    x = pack_allocation(graph, alloc.cellular, alloc.d2d)
-    signal = np.bincount(links.receiver, links.gain * x, len(links.cross))
-    rates = np.log2(1.0 + signal / links.heard(x))
-    return float(sum(rates[:graph.K]) + sum(rates[graph.K:]))
+    return link_model(ch, graph, occupancy).sum_rate(
+        pack_allocation(graph, alloc.cellular, alloc.d2d), graph.K)
 
 
 def objective_sum_rate(p2: P2Problem, x) -> float:
@@ -265,7 +270,8 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     The solver certifies each pass to its gap of gp.DUALITY_GAP_TOL =
     1e-9, well inside the ASCENT_TOL_BITS = 1e-8 monotonicity budget; a
     pass that breaks either raises AllocationSolverError.  Each point
-    keeps its pass's SolverResult, central path included.
+    keeps its pass's SolverResult, central path included.  Every rate
+    is read off the P2 build's link model.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
@@ -276,7 +282,7 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
 
     x = feasible_start(cfg, graph, problem)
     start = unpack_allocation(graph, x)
-    prev_rate = sum_rate(ch, graph, occupancy, start)
+    prev_rate = p2.links.sum_rate(x, graph.K)
     trace = IterationTrace(initial_powers=start, initial_sum_rate_bits=prev_rate,
                            points=[], converged=False)
     y = np.log(x)
@@ -294,12 +300,11 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
             raise AllocationSolverError(f"pass {it + 1}: GP solve certified a gap "
                                         f"of only {res.certified_gap:.3e}", res)
         x, y, path = res.x, res.y, res.path
-        alloc = unpack_allocation(graph, x)
-        rate = sum_rate(ch, graph, occupancy, alloc)
+        rate = p2.links.sum_rate(x, graph.K)
         if rate < prev_rate - ASCENT_TOL_BITS:
             raise AllocationSolverError(f"pass {it + 1} lowered the sum rate by "
                                         f"{prev_rate - rate:.3e} bits", res)
-        trace.points.append(IterationPoint(alloc, rate, res))
+        trace.points.append(IterationPoint(unpack_allocation(graph, x), rate, res))
         if abs(rate - prev_rate) <= REL_TOL * max(1.0, abs(prev_rate)):
             trace.converged = True
             break

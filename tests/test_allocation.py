@@ -312,6 +312,24 @@ class TestAllocate:
         x_again = packed(graph, resumed.final.powers)
         assert np.all(np.abs(x_again - x_star) <= 1e-5 * np.abs(x_star))
 
+    def test_one_link_model_per_allocate(self, monkeypatch):
+        """build_p2's link model serves every pass's rate: one allocate
+        runs link_model once, and its rates are sum_rate's bit for bit."""
+        calls = []
+        real_link_model = allocation.link_model
+
+        def counting_link_model(*args):
+            calls.append(args)
+            return real_link_model(*args)
+
+        monkeypatch.setattr(allocation, "link_model", counting_link_model)
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=2)
+        trace = allocate(cfg, ch, graph, occ)
+        assert len(calls) == 1 and trace.iterations_used > 1
+        monkeypatch.undo()
+        assert trace.rates() == [sum_rate(ch, graph, occ, p) for p in
+                                 [trace.initial_powers] + [q.powers for q in trace.points]]
+
     def test_single_pass(self):
         cfg, graph, ch, occ = make_scenario(seed=0, jd=1)
         trace = allocate(cfg, ch, graph, occ, t_max=1)
