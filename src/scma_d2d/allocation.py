@@ -17,13 +17,14 @@ the per-pair D2D powers]; all values are watts.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import PowerAllocation, check_occupancy, power_gains, tone_of_pair
 from .channel import ChannelRealization, ScenarioConfig
-from .factor_graph import FactorGraph
+from .factor_graph import DimensionError, FactorGraph
 from .gp import (
     DUALITY_GAP_TOL,
     OPTIMAL,
@@ -46,6 +47,9 @@ REL_TOL = 1e-6
 # a pass may lower the sum rate by at most this many bits (rounding and
 # the solver's certified gap); a larger fall is a solver fault
 ASCENT_TOL_BITS = 1e-8
+# allocate refuses a system whose expanded objective could need more
+# exponent-row bytes than this: prod_r |g_r| rows of n float64s
+MAX_EXPANSION_BYTES = 2 ** 30
 # the random baseline's draws per call
 MAX_RESAMPLE = 1000
 
@@ -271,11 +275,20 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     1e-9, well inside the ASCENT_TOL_BITS = 1e-8 monotonicity budget; a
     pass that breaks either raises AllocationSolverError.  Each point
     keeps its pass's SolverResult, central path included.  Every rate
-    is read off the P2 build's link model.
+    is read off the P2 build's link model.  A system whose expansion
+    could exceed MAX_EXPANSION_BYTES raises DimensionError before any
+    product is built.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
     p2 = build_p2(cfg, ch, graph, occupancy)
+    # each factor |f_r| <= |g_r|, so this bounds the numerator's rows too
+    expansion = math.prod(len(g) for g in p2.denominator_factors) * len(p2.registry) * 8
+    if expansion > MAX_EXPANSION_BYTES:
+        raise DimensionError(
+            f"K = {cfg.K}, J = {cfg.J}, J_D = {cfg.J_D}: the expanded objective could "
+            f"take {expansion:.3g} bytes of exponent rows, above the "
+            f"{MAX_EXPANSION_BYTES:.3g}-byte limit")
     problem = to_convex_form(product(p2.numerator_factors),
                              constraints=p2.constraints)
     denominator = product(p2.denominator_factors)

@@ -1,8 +1,9 @@
 """Command-line entry point for the experiment harness.
 
 Subcommands: convergence, sweep-cell, sweep-d2d, bounds, compare.
-Exit codes: 0 success, 2 configuration error, 3 every seed infeasible,
-4 a GP solve inside the power allocator failed its runtime checks.
+Exit codes: 0 success, 2 configuration error (a system too large to
+allocate included), 3 every seed infeasible, 4 a GP solve inside the power
+allocator failed its runtime checks.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .experiments import (
     ExperimentSpec,
     run_experiment,
 )
+from .factor_graph import DimensionError
 
 # subcommand -> (experiment kind, default number of seeds)
 SUBCOMMANDS = {
@@ -93,6 +95,9 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(spec)
+    except DimensionError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except AllocationSolverError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import time
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ import pytest
 from conftest import make_scenario, support_allocation
 from scma_d2d import allocation
 from scma_d2d.allocation import (
+    MAX_EXPANSION_BYTES,
     MAX_RESAMPLE,
     AllocationSolverError,
     InfeasibleScenarioError,
@@ -36,7 +38,7 @@ from scma_d2d.capacity import (
 )
 from scma_d2d.channel import ChannelRealization, ScenarioConfig
 from scma_d2d.experiments import ExperimentSpec, run_convergence
-from scma_d2d.factor_graph import build_factor_graph
+from scma_d2d.factor_graph import DimensionError, build_factor_graph
 from scma_d2d.gp import DUALITY_GAP_TOL, logsumexp_bundle
 from scma_d2d.posynomial import Monomial, Posynomial, condense, product, to_convex_form
 
@@ -209,6 +211,30 @@ class TestExpandDenominator:
         assert len(scaled) == len(g)
         assert np.allclose(np.sort(scaled.coefficients),
                            np.sort(g.coefficients * idle.coefficients[0]))
+
+
+class TestExpansionGuard:
+    @pytest.mark.parametrize("k, j, jd", [(6, 15, 3), (8, 28, 8)])
+    def test_oversized_expansion_raises_before_product(self, monkeypatch, k, j, jd):
+        """Systems whose expanded objective could need gigabytes raise
+        DimensionError, naming the system and the bytes, within a second
+        and without building a product."""
+        monkeypatch.setattr(allocation, "product",
+                            lambda *args: pytest.fail("product was called"))
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=jd, K=k, J=j)
+        start = time.perf_counter()
+        with pytest.raises(DimensionError, match=f"K = {k}, J = {j}, J_D = {jd}: .* bytes"):
+            allocate(cfg, ch, graph, occ)
+        assert time.perf_counter() - start < 1.0
+
+    def test_default_system_passes_at_every_pair_count(self):
+        """The (4, 6, 2) expansion bound stays under the limit at J_D = 0-4
+        (50 MB at J_D = 4)."""
+        for jd in range(5):
+            cfg, graph, ch, occ = make_scenario(seed=0, jd=jd)
+            p2 = build_p2(cfg, ch, graph, occ)
+            rows = np.prod([len(g) for g in p2.denominator_factors], dtype=float)
+            assert rows * len(p2.registry) * 8 <= MAX_EXPANSION_BYTES
 
 
 class TestSumRate:

@@ -261,6 +261,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(out_dir.iterdir()) == []
 
+    def test_oversized_system_exits_two(self, tmp_path, capsys, monkeypatch):
+        """A system whose objective expansion could not fit exits 2 with
+        allocate's DimensionError, before any product is built."""
+        monkeypatch.setattr(allocation, "product",
+                            lambda *args: pytest.fail("product was called"))
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("K = 6\nJ = 15\nN = 2\nJ_D = 3\n")
+        assert main(["compare", "--config", str(cfg), "--seeds", "1",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: K = 6, J = 15, J_D = 3: ")
+
     def test_bad_sweep_list_exits_two(self, tmp_path):
         assert main(["sweep-cell", "--sweep-dbm", "abc",
                      "--out", str(tmp_path / "s.csv")]) == 2
