@@ -69,9 +69,9 @@ class FactorGraph:
     @classmethod
     def from_text(cls, text: str) -> "FactorGraph":
         rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-        ind = np.array([[int(v) for v in row] for row in rows])
-        if ind.ndim != 2 or ind.size == 0:
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
             raise DimensionError("empty or ragged indicator text")
+        ind = np.array([[int(v) for v in row] for row in rows])
         n = int(ind.sum(axis=0)[0])
         return cls(ind, K=ind.shape[0], J=ind.shape[1], N=n)
 

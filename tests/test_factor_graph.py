@@ -78,6 +78,11 @@ class TestBuildFactorGraph:
         assert np.array_equal(again.indicator, g.indicator)
         assert (again.K, again.J, again.N) == (4, 6, 2)
 
+    @pytest.mark.parametrize("text", ["", " \n\n", "1 0\n0 1 1", "1 0 1\n0 1"])
+    def test_from_text_rejects_empty_or_ragged(self, text):
+        with pytest.raises(DimensionError, match="empty or ragged"):
+            FactorGraph.from_text(text)
+
 
 class TestIncidenceSets:
     def test_regular_4x6_rows_and_columns(self):
