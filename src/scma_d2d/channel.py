@@ -312,7 +312,7 @@ _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_pai
 
 def parse_config_text(text: str) -> ScenarioConfig:
     types = {f.name: f.type for f in fields(ScenarioConfig)}
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -323,6 +323,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key, val = key.strip(), val.strip()
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} already given on line {seen[key]}")
+        seen[key] = lineno
         try:
             values[key] = _PARSERS[types[key]](val)
         except ValueError:

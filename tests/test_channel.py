@@ -213,6 +213,10 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="mystery"):
             parse_config_text("mystery = 1\n")
 
+    def test_repeated_field_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: J_D already given on line 1"):
+            parse_config_text("J_D = 1\nK = 4\nJ_D = 3\n")
+
     def test_round_trip(self, tmp_path):
         cfg = ScenarioConfig(J_D=2, seed=42, cellular_power_cap_dbm=28.0,
                              d2d_distance_range_m=(2.0, 15.0),
