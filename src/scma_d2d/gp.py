@@ -273,9 +273,11 @@ def _regularized_newton_step(hess, grad):
     it succeeds with a finite descent direction (grad . d < 0), as it does
     for every positive definite hess: one factorization per step.  For a
     finite grad, a finite grad . d implies a finite d.  Otherwise a
-    Cholesky factorization checks positive definiteness; while it fails,
-    1e-12*trace(H) (escalating tenfold) is put on the diagonal of hess, in
-    place.  The diagonal and the trace are read at the first failure,
+    Cholesky factorization checks positive definiteness; while it or the
+    solve after it fails, 1e-12*trace(H) (escalating tenfold) is put on
+    the diagonal of hess, in place.  The solve can fail where Cholesky
+    succeeds: at a condition number near 1e19, LU can meet an exact zero
+    pivot.  The diagonal and the trace are read at the first failure,
     before hess changes."""
     try:
         delta = _solve(hess, -grad)
@@ -289,6 +291,7 @@ def _regularized_newton_step(hess, grad):
     for _ in range(60):
         try:
             np.linalg.cholesky(hess)
+            delta = _solve(hess, -grad)
         except LinAlgError:
             if diagonal is None:
                 diagonal = hess.diagonal().copy()
@@ -297,7 +300,6 @@ def _regularized_newton_step(hess, grad):
                 reg *= 10.0
             hess.flat[::len(grad) + 1] = diagonal + reg
             continue
-        delta = _solve(hess, -grad)
         return delta, float(grad.dot(delta))
     raise LinAlgError("Newton system could not be regularized")
 

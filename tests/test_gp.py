@@ -270,7 +270,8 @@ class TestRegularizedStep:
     def reference_step(hess, grad):
         """The regularization as specified: diagonal and trace of the
         original Hessian, 1e-12 * max(trace, 1) on the diagonal at the
-        first Cholesky failure, ten times more at each further one."""
+        first failure of Cholesky or of the solve after it, ten times more
+        at each further one."""
         hess = hess.copy()
         diagonal = hess.diagonal().copy()
         base = 1e-12 * max(np.trace(hess), 1.0)
@@ -278,11 +279,10 @@ class TestRegularizedStep:
         while True:
             try:
                 np.linalg.cholesky(hess)
+                return np.linalg.solve(hess, -grad), reg
             except np.linalg.LinAlgError:
                 reg = base if reg == 0.0 else reg * 10.0
                 hess.flat[::len(grad) + 1] = diagonal + reg
-                continue
-            return np.linalg.solve(hess, -grad), reg
 
     @pytest.mark.parametrize("hess", [
         np.zeros((3, 3)),
@@ -331,6 +331,21 @@ class TestRegularizedStep:
         assert got.tobytes() == want.tobytes()
         assert grad @ got < 0
         np.testing.assert_array_equal(work.diagonal(), hess.diagonal() + reg)
+
+
+    def test_singular_solve_after_cholesky_regularizes(self, monkeypatch):
+        """J_D = 2, seed 19, D2D cap 24 dBm under a warm-start test of 1000:
+        at t = 1e10 a Hessian of condition number ~3e19 passes Cholesky
+        but LU meets an exact zero pivot.  That solve's LinAlgError is
+        regularized like a failed Cholesky, and allocate climbs to
+        convergence in 7 passes instead of raising."""
+        monkeypatch.setattr(gp, "WARM_DECREMENT_SQ", 1000.0)
+        cfg, graph, ch, occ = make_scenario(seed=19, jd=2, d2d_power_cap_dbm=24.0)
+        trace = allocation.allocate(cfg, ch, graph, occ)
+        assert trace.converged and len(trace.points) == 7
+        rates = trace.rates()
+        assert all(b >= a - allocation.ASCENT_TOL_BITS for a, b in zip(rates, rates[1:]))
+        assert all(p.solver.certified_gap <= gp.DUALITY_GAP_TOL for p in trace.points)
 
 
 class TestOverflowSafety:
@@ -761,6 +776,7 @@ def _wrapped_newton_step(hess, grad):
     for _ in range(60):
         try:
             np.linalg.cholesky(hess)
+            delta = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             if diagonal is None:
                 diagonal = hess.diagonal().copy()
@@ -769,7 +785,6 @@ def _wrapped_newton_step(hess, grad):
                 reg *= 10.0
             hess.flat[::len(grad) + 1] = diagonal + reg
             continue
-        delta = np.linalg.solve(hess, -grad)
         return delta, float(grad.dot(delta))
     raise np.linalg.LinAlgError("Newton system could not be regularized")
 
