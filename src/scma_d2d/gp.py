@@ -43,8 +43,12 @@ MAX_NEWTON = 100              # Newton iteration cap per centering
 LINE_SEARCH_BACKTRACK = 0.5   # step shrink factor, in (0, 1)
 LINE_SEARCH_SLOPE = 0.1       # Armijo constant, in (0, 0.5)
 # a warm start resumes only from a recorded central point whose squared
-# Newton decrement under the new barrier is at most this
-WARM_DECREMENT_SQ = 1.0
+# Newton decrement under the new barrier is at most this.  The decrement
+# grows like sqrt(t), so 1 stopped most scans at t <= 100; damped Newton
+# pays only a bounded number of extra steps for a larger one (Boyd &
+# Vandenberghe 9.5.3).  1000 cut more steps but sent more warm centerings
+# to the Newton cap and a cold restart.
+WARM_DECREMENT_SQ = 100.0
 
 # certified gap (log-objective units) at exit; 1e-9 keeps each allocator
 # pass's certified suboptimality well inside its 1e-8-bit ascent budget
