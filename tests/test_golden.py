@@ -576,7 +576,7 @@ def test_newton_steps_match_golden(fresh):
 
 def test_newton_steps_within_cold_ceiling(fresh):
     """The warm-started passes against the cold-start counts: pass 1 and
-    the pass count unchanged, no pass slower, and at least 30% fewer
+    the pass count unchanged, no pass slower, and at least 40% fewer
     steps in total at each J_D."""
     cold = json.loads((FIXTURES / COLD_NEWTON_FILE).read_text())
     warm = json.loads((fresh / NEWTON_FILE).read_text())
@@ -595,7 +595,7 @@ def test_newton_steps_within_cold_ceiling(fresh):
         totals[jd] = (warm_total + sum(w), cold_total + sum(c))
     assert sorted(totals) == ["jd1", "jd2", "jd4"]
     for jd, (warm_total, cold_total) in totals.items():
-        assert warm_total <= 0.7 * cold_total, (jd, warm_total, cold_total)
+        assert warm_total <= 0.6 * cold_total, (jd, warm_total, cold_total)
 
 
 def test_eigenvalues_match_golden_bit_for_bit():
