@@ -68,12 +68,22 @@ class FactorGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "FactorGraph":
-        rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-        if not rows or any(len(row) != len(rows[0]) for row in rows):
+        lines = [(i, line.split()) for i, line in enumerate(text.splitlines(), 1)
+                 if line.strip()]
+        if not lines or any(len(row) != len(lines[0][1]) for _, row in lines):
             raise DimensionError("empty or ragged indicator text")
-        ind = np.array([[int(v) for v in row] for row in rows])
+        ind = np.array([[_entry(v, i) for v in row] for i, row in lines])
         n = int(ind.sum(axis=0)[0])
         return cls(ind, K=ind.shape[0], J=ind.shape[1], N=n)
+
+
+def _entry(token: str, line: int) -> int:
+    """The integer in one token of indicator text on the given line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise DimensionError(
+            f"indicator entry {token!r} on line {line} is not an integer") from None
 
 
 @dataclass(frozen=True)

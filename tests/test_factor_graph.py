@@ -83,6 +83,13 @@ class TestBuildFactorGraph:
         with pytest.raises(DimensionError, match="empty or ragged"):
             FactorGraph.from_text(text)
 
+    @pytest.mark.parametrize("text, token, line", [
+        ("1 a\n0 1", "a", 1), ("1 0\n0.5 1", "0.5", 2), ("\n1 0\n0 nan", "nan", 3)])
+    def test_from_text_rejects_non_integer_token(self, text, token, line):
+        with pytest.raises(DimensionError,
+                           match=f"entry '{token}' on line {line} is not an integer"):
+            FactorGraph.from_text(text)
+
 
 class TestIncidenceSets:
     def test_regular_4x6_rows_and_columns(self):
