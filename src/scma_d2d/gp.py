@@ -273,16 +273,17 @@ def _solve(a, b):
 
 
 def _regularized_newton_step(hess, grad):
-    """(d, grad . d) for hess d = -grad.  The plain solve is returned when
-    it succeeds with a finite descent direction (grad . d < 0), as it does
-    for every positive definite hess: one factorization per step.  For a
-    finite grad, a finite grad . d implies a finite d.  Otherwise a
-    Cholesky factorization checks positive definiteness; while it or the
-    solve after it fails, 1e-12*trace(H) (escalating tenfold) is put on
-    the diagonal of hess, in place.  The solve can fail where Cholesky
-    succeeds: at a condition number near 1e19, LU can meet an exact zero
-    pivot.  The diagonal and the trace are read at the first failure,
-    before hess changes."""
+    """(d, grad . d) for hess d = -grad, with d a finite direction of
+    descent.  The plain solve is returned when it succeeds with a finite
+    grad . d < 0, as it does for every positive definite hess: one
+    factorization per step.  For a finite grad, a finite grad . d implies
+    a finite d.  Otherwise 1e-12*trace(H), escalating tenfold, is put on
+    the diagonal of hess, in place, until a Cholesky factorization accepts
+    it and the solve gives a finite grad . d <= 0 (0 only at grad = 0).
+    The solve is checked too because near a condition number of 1e19
+    Cholesky can accept a matrix whose LU solve meets an exact zero pivot
+    or points uphill; an uphill direction would read as a zero decrement
+    and end its centering with a false gap."""
     try:
         delta = _solve(hess, -grad)
     except LinAlgError:
@@ -291,20 +292,19 @@ def _regularized_newton_step(hess, grad):
         descent = float(grad.dot(delta))
         if descent < 0 and math.isfinite(descent):
             return delta, descent
-    diagonal = None
+    diagonal = hess.diagonal().copy()
+    reg = 1e-12 * max(np.trace(hess), 1.0)
     for _ in range(60):
+        hess.flat[::len(grad) + 1] = diagonal + reg
+        reg *= 10.0
         try:
             np.linalg.cholesky(hess)
             delta = _solve(hess, -grad)
         except LinAlgError:
-            if diagonal is None:
-                diagonal = hess.diagonal().copy()
-                reg = 1e-12 * max(np.trace(hess), 1.0)
-            else:
-                reg *= 10.0
-            hess.flat[::len(grad) + 1] = diagonal + reg
             continue
-        return delta, float(grad.dot(delta))
+        descent = float(grad.dot(delta))
+        if descent <= 0 and math.isfinite(descent):
+            return delta, descent
     raise LinAlgError("Newton system could not be regularized")
 
 

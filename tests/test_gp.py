@@ -269,20 +269,23 @@ class TestRegularizedStep:
     @staticmethod
     def reference_step(hess, grad):
         """The regularization as specified: diagonal and trace of the
-        original Hessian, 1e-12 * max(trace, 1) on the diagonal at the
-        first failure of Cholesky or of the solve after it, ten times more
-        at each further one."""
+        original Hessian, 1e-12 * max(trace, 1) on the diagonal, ten times
+        more while Cholesky or the solve after it fails or the direction
+        is not a finite descent."""
         hess = hess.copy()
         diagonal = hess.diagonal().copy()
-        base = 1e-12 * max(np.trace(hess), 1.0)
-        reg = 0.0
+        reg = 1e-12 * max(np.trace(hess), 1.0)
         while True:
+            hess.flat[::len(grad) + 1] = diagonal + reg
             try:
                 np.linalg.cholesky(hess)
-                return np.linalg.solve(hess, -grad), reg
+                delta = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
-                reg = base if reg == 0.0 else reg * 10.0
-                hess.flat[::len(grad) + 1] = diagonal + reg
+                reg *= 10.0
+                continue
+            if grad @ delta <= 0 and np.isfinite(grad @ delta):
+                return delta, reg
+            reg *= 10.0
 
     @pytest.mark.parametrize("hess", [
         np.zeros((3, 3)),
@@ -549,7 +552,7 @@ class TestKkt:
         assert np.abs(residual).max() <= decrement * scale
 
 
-def allocate_solves(monkeypatch, seed, jd):
+def allocate_solves(monkeypatch, seed, jd, **overrides):
     """(problem, y0, warm_path, result) of every GP solve inside allocate
     at the given scenario, in call order."""
     original = allocation.solve
@@ -560,7 +563,7 @@ def allocate_solves(monkeypatch, seed, jd):
         calls.append((problem, y0, kwargs.get("warm_path"), res))
         return res
 
-    cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd)
+    cfg, graph, ch, occ = make_scenario(seed=seed, jd=jd, **overrides)
     with monkeypatch.context() as patch:
         patch.setattr(allocation, "solve", capture)
         allocation.allocate(cfg, ch, graph, occ)
@@ -601,6 +604,23 @@ class TestWarmStart:
         assert loose
         assert max(loose) <= gp.WARM_DECREMENT_SQ
         assert any(d > 1.0 for d in loose)
+
+    def test_uphill_newton_direction_ends_no_centering(self, monkeypatch):
+        """J_D = 1, seed 3, cellular cap 28 dBm: pass 3's warm centering
+        at t = 1e11 meets a Hessian (condition ~1e16) that Cholesky
+        accepts but whose solve points uphill.  Read as a zero decrement,
+        that direction ended the centering about 4e6 certified gaps above
+        the optimum, and allocate stopped after 3 passes.  Every pass must
+        match its cold solve within the certified gap."""
+        calls = allocate_solves(monkeypatch, seed=3, jd=1, cellular_power_cap_dbm=28.0)
+        assert len(calls) > 3
+        for problem, y0, _, warm in calls[1:]:
+            cold = solve(problem, y0=y0)
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.path[-1][0] == cold.path[-1][0]
+            assert warm.certified_gap == cold.certified_gap
+            assert abs(np.log(warm.objective_value / cold.objective_value)) \
+                <= cold.certified_gap
 
     def test_capped_warm_centering_restarts_cold(self, monkeypatch):
         """When the warm centering hits the Newton cap the solve restarts
@@ -783,20 +803,19 @@ def _wrapped_newton_step(hess, grad):
         descent = float(grad.dot(delta))
         if descent < 0 and np.isfinite(descent):
             return delta, descent
-    diagonal = None
+    diagonal = hess.diagonal().copy()
+    reg = 1e-12 * max(np.trace(hess), 1.0)
     for _ in range(60):
+        hess.flat[::len(grad) + 1] = diagonal + reg
+        reg *= 10.0
         try:
             np.linalg.cholesky(hess)
             delta = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            if diagonal is None:
-                diagonal = hess.diagonal().copy()
-                reg = 1e-12 * max(np.trace(hess), 1.0)
-            else:
-                reg *= 10.0
-            hess.flat[::len(grad) + 1] = diagonal + reg
             continue
-        return delta, float(grad.dot(delta))
+        descent = float(grad.dot(delta))
+        if descent <= 0 and np.isfinite(descent):
+            return delta, descent
     raise np.linalg.LinAlgError("Newton system could not be regularized")
 
 
