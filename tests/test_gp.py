@@ -1,5 +1,8 @@
 """Tests for the barrier interior-point GP solver."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,8 @@ from scma_d2d.posynomial import (
     product,
     to_convex_form,
 )
+
+FIXTURES = Path(__file__).with_name("fixtures")
 
 
 def lse_problem(registry, obj_a, obj_b, cons=()):
@@ -336,19 +341,21 @@ class TestRegularizedStep:
         np.testing.assert_array_equal(work.diagonal(), hess.diagonal() + reg)
 
 
-    def test_singular_solve_after_cholesky_regularizes(self, monkeypatch):
-        """J_D = 2, seed 19, D2D cap 24 dBm under a warm-start test of 1000:
-        at t = 1e10 a Hessian of condition number ~3e19 passes Cholesky
-        but LU meets an exact zero pivot.  That solve's LinAlgError is
-        regularized like a failed Cholesky, and allocate climbs to
-        convergence in 7 passes instead of raising."""
-        monkeypatch.setattr(gp, "WARM_DECREMENT_SQ", 1000.0)
-        cfg, graph, ch, occ = make_scenario(seed=19, jd=2, d2d_power_cap_dbm=24.0)
-        trace = allocation.allocate(cfg, ch, graph, occ)
-        assert trace.converged and len(trace.points) == 7
-        rates = trace.rates()
-        assert all(b >= a - allocation.ASCENT_TOL_BITS for a, b in zip(rates, rates[1:]))
-        assert all(p.solver.certified_gap <= gp.DUALITY_GAP_TOL for p in trace.points)
+    def test_solve_failing_after_cholesky_is_shifted(self):
+        """A Hessian that Cholesky accepts but whose LU solve meets an
+        exact zero pivot (tests/fixtures/newton_system_zero_pivot.json)
+        is shifted like one Cholesky rejects, to a finite descent step."""
+        data = json.loads((FIXTURES / "newton_system_zero_pivot.json").read_text())
+        hess = np.array([[float.fromhex(v) for v in row] for row in data["hess"]])
+        grad = np.array([float.fromhex(v) for v in data["grad"]])
+        np.linalg.cholesky(hess)
+        with pytest.raises(np.linalg.LinAlgError):
+            gp._solve(hess, -grad)
+        want, reg = self.reference_step(hess, grad)
+        got, descent = gp._regularized_newton_step(hess.copy(), grad)
+        assert reg > 0
+        assert descent < 0 and np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOverflowSafety:
