@@ -340,7 +340,6 @@ class TestRegularizedStep:
         assert grad @ got < 0
         np.testing.assert_array_equal(work.diagonal(), hess.diagonal() + reg)
 
-
     def test_solve_failing_after_cholesky_is_shifted(self):
         """A Hessian that Cholesky accepts but whose LU solve meets an
         exact zero pivot (tests/fixtures/newton_system_zero_pivot.json)
