@@ -28,7 +28,6 @@ from .factor_graph import DimensionError, FactorGraph
 from .gp import (
     DUALITY_GAP_TOL,
     OPTIMAL,
-    PackedConstraints,
     SolverResult,
     find_feasible,
     solve,
@@ -64,9 +63,9 @@ class InfeasibleScenarioError(RuntimeError):
 
 
 class AllocationSolverError(RuntimeError):
-    """A pass's GP solve did not reach optimal status, certified a gap
-    above gp.DUALITY_GAP_TOL, or lowered the sum rate by more than
-    ASCENT_TOL_BITS.  result is that pass's SolverResult."""
+    """Phase-1 stopped uncertified, or a pass's GP solve was not optimal,
+    certified a gap above gp.DUALITY_GAP_TOL or lowered the sum rate by
+    more than ASCENT_TOL_BITS.  result is the FeasibilityResult or SolverResult."""
 
     def __init__(self, message, result):
         super().__init__(message)
@@ -247,13 +246,15 @@ class IterationTrace:
 def feasible_start(cfg, graph, problem: ConvexFormProblem) -> np.ndarray:
     """Packed starting vector: the half-cap point when it already meets
     problem's constraints strictly, otherwise a phase-1 solution.  Raises
-    InfeasibleScenarioError when the constraint set is certified empty."""
+    InfeasibleScenarioError when phase-1 certifies the constraint set
+    empty, AllocationSolverError when it stops without a certificate."""
     half = initial_allocation(cfg, graph)
     x0 = pack_allocation(graph, half.cellular, half.d2d)
-    packed = PackedConstraints(problem.constraint_exponents, problem.constraint_offsets)
-    if packed.shifted_exp(np.log(x0))[0].max() < 0:
+    if problem.constraints.shifted_exp(np.log(x0))[0].max() < 0:
         return x0
     feas = find_feasible(problem)
+    if feas.status != OPTIMAL:
+        raise AllocationSolverError(f"phase-1 returned {feas.status}", feas)
     if not feas.feasible:
         raise InfeasibleScenarioError(feas.max_slack)
     return np.exp(feas.y)
@@ -267,7 +268,7 @@ def allocate(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
     into a monomial m, solves the GP of numerator / m under the original
     constraints, and moves to its optimum.  In log form, dividing by m
     shifts every objective row by m's exponents and log coefficient, so
-    the numerator and the constraints are converted once per draw.  The
+    the numerator is converted and the constraints packed once per draw.  The
     loop stops after t_max passes (at least 1) or once the relative
     sum-rate change drops to REL_TOL.  Every pass after the first
     warm-starts its solve from the previous pass's central path.

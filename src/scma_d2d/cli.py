@@ -3,7 +3,7 @@
 Subcommands: convergence, sweep-cell, sweep-d2d, bounds, compare.
 Exit codes: 0 success, 2 configuration error (a system too large to
 allocate included), 3 every seed infeasible, 4 a GP solve inside the power
-allocator failed its runtime checks.
+allocator failed its runtime checks or its phase-1 stopped uncertified.
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ class FactorGraph:
     N: int
 
     def __post_init__(self):
+        if self.N < 1:
+            raise DimensionError(f"N = {self.N}: every user needs a subcarrier")
         ind = np.asarray(self.indicator, dtype=int)
         if ind.shape != (self.K, self.J):
             raise DimensionError(f"indicator shape {ind.shape} != ({self.K}, {self.J})")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .posynomial import ConvexFormProblem
+from .posynomial import ConvexFormProblem, PackedConstraints
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
@@ -92,36 +92,6 @@ def logsumexp_bundle(exponents, offsets, y):
     return float(m + np.log(s)), g, hess
 
 
-class PackedConstraints:
-    """Several LSEs stacked for vectorized evaluation: block s holds rows
-    starts[s] up to the next start.  At least one block is required."""
-
-    def __init__(self, exponent_blocks, offset_blocks):
-        self.count = len(exponent_blocks)
-        self.A = np.vstack(exponent_blocks)
-        self.b = np.concatenate(offset_blocks)
-        self.sizes = np.array([len(b) for b in offset_blocks])
-        self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
-        # the first block's row count, and the block of each later row
-        self.head = int(self.sizes[0])
-        self.tail_seg = np.repeat(np.arange(1, self.count), self.sizes[1:])
-
-    def shifted_exp(self, y):
-        """(lse value per block, exp(z - block max) per row, per-block sums
-        of those exps) at y, where z = A y + b.
-
-        The first block is shifted by its scalar max, so that a large first
-        block (the barrier's objective) costs no per-row gather."""
-        z = self.A.dot(y)
-        z += self.b
-        mx = np.maximum.reduceat(z, self.starts)
-        z[:self.head] -= mx[0]
-        z[self.head:] -= mx[self.tail_seg]
-        e = np.exp(z, out=z)
-        sums = np.add.reduceat(e, self.starts)
-        return mx + np.log(sums), e, sums
-
-
 class _Point:
     """The barrier's values at one y: f0, -f_s per constraint, sum_s
     log(-f_s), exp(z - block max) per row and per-block sums of those
@@ -157,9 +127,11 @@ class _Barrier:
     g0, G_con^T u, H_obj and H_con do not depend on t.
     """
 
-    def __init__(self, obj_exponents, obj_offsets, con_exponents, con_offsets):
-        self.packed = PackedConstraints([obj_exponents, *con_exponents],
-                                        [obj_offsets, *con_offsets])
+    def __init__(self, obj_exponents, obj_offsets, constraints):
+        self.packed = PackedConstraints(
+            np.vstack([obj_exponents, constraints.A]),
+            np.concatenate([obj_offsets, constraints.b]),
+            np.concatenate(([len(obj_offsets)], constraints.sizes)))
         head = self.packed.head
         self.a0 = self.packed.A[:head]
         self.a_con = self.packed.A[head:]
@@ -318,8 +290,8 @@ def _center(barrier, y, point, t, callback=None):
     and quadratic-model improvements smaller than eps times that are not
     representable, so demanding more would spin.  The backtracking line
     search starts at barrier.first_alpha.  Returns (y, point, stop, steps)
-    at the point reached, where stop is CENTERED, MAX_ITERATIONS, or
-    STALLED when the line search accepts no step down to 1e-18.
+    at the point reached: stop is CENTERED, OPTIMAL once callback(y) is
+    true, MAX_ITERATIONS, or STALLED when no step down to 1e-18 passes.
     """
     steps = 0
     eps = float(np.finfo(float).eps)
@@ -347,18 +319,17 @@ def _center(barrier, y, point, t, callback=None):
         y, point = accepted, cand_point
         steps += 1
         if callback is not None and callback(y):
-            return y, point, CENTERED, steps
+            return y, point, OPTIMAL, steps
     return y, point, MAX_ITERATIONS, steps
 
 
 def _central_path(barrier, y, point, t, callback=None):
     """Center at barrier weight t, then BARRIER_MU times more each round,
-    until callback(y) asks to stop, a centering does not end CENTERED, or
-    the certified gap m/t is at most DUALITY_GAP_TOL.
+    until a centering does not end CENTERED or the certified gap m/t is
+    at most DUALITY_GAP_TOL.
 
     Returns (status, steps, rows) with one (t, y, f0, m/t) row per
-    centering; status is the stop of a centering that hit the Newton cap
-    (MAX_ITERATIONS) or stalled (STALLED), and OPTIMAL otherwise.
+    centering; status is the last centering's stop, OPTIMAL at the gap.
     """
     m = barrier.packed.count - 1
     total_steps = 0
@@ -367,8 +338,6 @@ def _central_path(barrier, y, point, t, callback=None):
         y, point, stop, steps = _center(barrier, y, point, t, callback)
         total_steps += steps
         rows.append((t, y, point.f0, m / t))
-        if callback is not None and callback(y):
-            return OPTIMAL, total_steps, rows
         if stop != CENTERED:
             return stop, total_steps, rows
         if m / t <= DUALITY_GAP_TOL:
@@ -406,7 +375,7 @@ def solve(problem: ConvexFormProblem, y0, *,
     at t = INITIAL_T; the warm attempt's steps still count.
     """
     barrier = _Barrier(problem.objective_exponents, problem.objective_offsets,
-                       problem.constraint_exponents, problem.constraint_offsets)
+                       problem.constraints)
     y0 = np.asarray(y0, dtype=float)
     point = barrier.evaluate(y0)
     if point is None:
@@ -435,32 +404,29 @@ def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
     infeasible along with the best achieved slack.
     """
     n = problem.n_variables
-    if not problem.constraint_exponents:
+    cons = problem.constraints
+    if not cons.count:
         return FeasibilityResult(True, np.zeros(n), -np.inf, OPTIMAL)
-    packed = PackedConstraints(problem.constraint_exponents,
-                               problem.constraint_offsets)
 
     # extended variable (y, tau); constraints lse_s(y) - tau <= 0 are again
     # LSEs with an exponent of -1 on tau
-    ext_a = [np.hstack([a, -np.ones((len(a), 1))])
-             for a in problem.constraint_exponents]
+    ext = PackedConstraints(np.hstack([cons.A, -np.ones((len(cons.b), 1))]),
+                            cons.b, cons.sizes)
     obj_a = np.zeros((1, n + 1))
     obj_a[0, -1] = 1.0
-    barrier = _Barrier(obj_a, np.zeros(1), ext_a, problem.constraint_offsets)
+    barrier = _Barrier(obj_a, np.zeros(1), ext)
 
-    y = np.zeros(n)
-    tau = float(packed.shifted_exp(y)[0].max()) + 1.0
-    z = np.concatenate([y, [tau]])
-    best_slack = tau - 1.0
+    best_slack = np.inf
 
-    def early_exit(point):
+    def early_exit(z):   # once per point: the start, then each accepted step
         nonlocal best_slack
-        slack = float(packed.shifted_exp(point[:-1])[0].max())
-        best_slack = min(best_slack, slack)
-        return slack < -FEASIBILITY_MARGIN
+        best_slack = min(best_slack, float(cons.shifted_exp(z[:-1])[0].max()))
+        return best_slack < -FEASIBILITY_MARGIN
 
+    z = np.zeros(n + 1)
     if early_exit(z):
-        return FeasibilityResult(True, y, best_slack, OPTIMAL)
+        return FeasibilityResult(True, np.zeros(n), best_slack, OPTIMAL)
+    z[-1] = best_slack + 1.0      # tau = max_s lse_s(0) + 1
     status, _, rows = _central_path(barrier, z, barrier.evaluate(z), INITIAL_T,
                                     callback=early_exit)
     if best_slack < -FEASIBILITY_MARGIN:

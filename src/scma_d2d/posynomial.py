@@ -347,6 +347,35 @@ def condense(g: Posynomial, x0) -> Monomial:
     return Monomial(np.exp(log_coeff), beta @ g.exponents, g.registry)
 
 
+class PackedConstraints:
+    """LSE blocks stacked for vectorized evaluation: block s holds rows
+    starts[s] up to the next start of exponents A and offsets b.
+    shifted_exp needs at least one block."""
+
+    def __init__(self, A, b, sizes):
+        self.A, self.b, self.sizes = A, b, sizes
+        self.count = len(sizes)
+        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        # the first block's row count, and the block of each later row
+        self.head = int(sizes[:1].sum())
+        self.tail_seg = np.repeat(np.arange(1, self.count), sizes[1:])
+
+    def shifted_exp(self, y):
+        """(lse value per block, exp(z - block max) per row, per-block sums
+        of those exps) at y, where z = A y + b.
+
+        The first block is shifted by its scalar max, so that a large first
+        block (the barrier's objective) costs no per-row gather."""
+        z = self.A.dot(y)
+        z += self.b
+        mx = np.maximum.reduceat(z, self.starts)
+        z[:self.head] -= mx[0]
+        z[self.head:] -= mx[self.tail_seg]
+        e = np.exp(z, out=z)
+        sums = np.add.reduceat(e, self.starts)
+        return mx + np.log(sums), e, sums
+
+
 @dataclass
 class ConvexFormProblem:
     """Log-variable image of a GP in standard form.
@@ -358,8 +387,7 @@ class ConvexFormProblem:
     registry: Registry
     objective_exponents: np.ndarray      # (M0, n)
     objective_offsets: np.ndarray        # (M0,)
-    constraint_exponents: list           # S arrays (Ms, n)
-    constraint_offsets: list             # S arrays (Ms,)
+    constraints: PackedConstraints       # S blocks (Ms, n), packed once
 
     @property
     def n_variables(self):
@@ -370,15 +398,15 @@ def to_convex_form(objective: Posynomial, constraints=()) -> ConvexFormProblem:
     """Map a standard-form GP (min posynomial s.t. posynomials <= 1) to its
     convex log-sum-exp image in y = log x."""
     reg = objective.registry
-    cons_a, cons_b = [], []
+    constraints = list(constraints)
     for g in constraints:
         _check_registry(reg, g.registry)
-        cons_a.append(g.exponents.copy())
-        cons_b.append(g.log_coefficients.copy())
     return ConvexFormProblem(
         registry=reg,
         objective_exponents=objective.exponents.copy(),
         objective_offsets=objective.log_coefficients.copy(),
-        constraint_exponents=cons_a,
-        constraint_offsets=cons_b,
+        constraints=PackedConstraints(
+            np.vstack([np.empty((0, len(reg)))] + [g.exponents for g in constraints]),
+            np.concatenate([np.empty(0)] + [g.log_coefficients for g in constraints]),
+            np.array([len(g) for g in constraints], dtype=int)),
     )

@@ -6,6 +6,7 @@ import pytest
 from scma_d2d.capacity import default_occupancy
 from scma_d2d.channel import ScenarioConfig, rng_streams, sample_channels, sample_geometry
 from scma_d2d.factor_graph import build_factor_graph
+from scma_d2d.posynomial import PackedConstraints
 
 
 def make_scenario(seed=0, jd=1, **overrides):
@@ -17,6 +18,21 @@ def make_scenario(seed=0, jd=1, **overrides):
     geo = sample_geometry(cfg, streams.geometry)
     ch = sample_channels(cfg, geo, streams.fading)
     return cfg, graph, ch, default_occupancy(cfg.J_D)
+
+
+def pack_blocks(n, cons):
+    """PackedConstraints of (exponents, offsets) blocks over n variables,
+    stacked as to_convex_form stacks a problem's constraints."""
+    a_blocks = [np.asarray(a, dtype=float).reshape(-1, n) for a, _ in cons]
+    b_blocks = [np.asarray(b, dtype=float).reshape(-1) for _, b in cons]
+    return PackedConstraints(np.vstack([np.empty((0, n))] + a_blocks),
+                             np.concatenate([np.empty(0)] + b_blocks),
+                             np.array([len(b) for b in b_blocks], dtype=int))
+
+
+def unpack_blocks(pack):
+    """(exponents, offsets) of each block of a PackedConstraints."""
+    return [(pack.A[s:s + k], pack.b[s:s + k]) for s, k in zip(pack.starts, pack.sizes)]
 
 
 @pytest.fixture

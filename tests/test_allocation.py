@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, support_allocation
-from scma_d2d import allocation
+from scma_d2d import allocation, gp
 from scma_d2d.allocation import (
     MAX_EXPANSION_BYTES,
     MAX_RESAMPLE,
@@ -39,7 +39,7 @@ from scma_d2d.capacity import (
 from scma_d2d.channel import ChannelRealization, ScenarioConfig
 from scma_d2d.experiments import ExperimentSpec, run_convergence
 from scma_d2d.factor_graph import DimensionError, build_factor_graph
-from scma_d2d.gp import DUALITY_GAP_TOL, logsumexp_bundle
+from scma_d2d.gp import DUALITY_GAP_TOL, MAX_ITERATIONS, FeasibilityResult, logsumexp_bundle
 from scma_d2d.posynomial import Monomial, Posynomial, condense, product, to_convex_form
 
 
@@ -375,6 +375,42 @@ class TestAllocate:
             allocate(cfg, ch, graph, occ)
         assert err.value.max_slack > 0
 
+    def test_uncertified_phase1_is_a_solver_error(self, monkeypatch):
+        """With gp.MAX_NEWTON = 1, phase-1 on seeds 0, 3 and 4 at J_D = 2
+        stops at the Newton cap, which certifies nothing: allocate raises
+        AllocationSolverError with phase-1's result, not
+        InfeasibleScenarioError.  All three draws run at the default cap."""
+        draws = [make_scenario(seed=seed, jd=2) for seed in (0, 3, 4)]
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "MAX_NEWTON", 1)
+            for cfg, graph, ch, occ in draws:
+                with pytest.raises(AllocationSolverError, match="phase-1") as err:
+                    allocate(cfg, ch, graph, occ)
+                assert isinstance(err.value.result, FeasibilityResult)
+                assert err.value.result.status == MAX_ITERATIONS
+        for cfg, graph, ch, occ in draws:
+            assert allocate(cfg, ch, graph, occ).iterations_used >= 1
+
+    def test_phase1_and_passes_share_one_constraint_pack(self, monkeypatch):
+        """Seed 0 at J_D = 2 needs phase-1; it and every pass's solve get
+        problems holding one and the same packed constraint object."""
+        seen = []
+
+        def spy(real):
+            def wrapper(problem, *args, **kwargs):
+                seen.append((real.__name__, problem.constraints))
+                return real(problem, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(allocation, "find_feasible", spy(allocation.find_feasible))
+        monkeypatch.setattr(allocation, "solve", spy(allocation.solve))
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=2)
+        trace = allocate(cfg, ch, graph, occ)
+        names = [name for name, _ in seen]
+        assert names == ["find_feasible"] + ["solve"] * trace.iterations_used
+        assert len(names) > 2
+        assert all(pack is seen[0][1] for _, pack in seen)
+
     def test_trace_csv(self, tmp_path):
         """The convergence CSV writes the allocator trace: one row for the
         start point and one per pass, powers in registry order."""
@@ -476,13 +512,10 @@ class TestPassProblem:
             denominator = product(p2.denominator_factors)
             for problem, y0 in passes:
                 assert problem.registry == want.registry
-                assert len(problem.constraint_exponents) == len(want.constraint_exponents)
-                for got_a, want_a in zip(problem.constraint_exponents,
-                                         want.constraint_exponents):
-                    np.testing.assert_array_equal(got_a, want_a)
-                for got_b, want_b in zip(problem.constraint_offsets,
-                                         want.constraint_offsets):
-                    np.testing.assert_array_equal(got_b, want_b)
+                np.testing.assert_array_equal(problem.constraints.sizes,
+                                              want.constraints.sizes)
+                np.testing.assert_array_equal(problem.constraints.A, want.constraints.A)
+                np.testing.assert_array_equal(problem.constraints.b, want.constraints.b)
                 m = condense(denominator, np.exp(y0))
                 for _ in range(5):
                     y = y0 + rng.uniform(-1.0, 1.0, size=len(y0))

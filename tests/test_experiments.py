@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scma_d2d import allocation, experiments
+from scma_d2d import allocation, experiments, gp
 from scma_d2d.channel import ScenarioConfig
 from scma_d2d.cli import main
 from scma_d2d.experiments import (
@@ -197,6 +197,14 @@ class TestCli:
         cfg.write_text("K = 0\n")
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_uncertified_phase1_exits_four(self, tmp_path, capsys, monkeypatch):
+        """A phase-1 stopped by the Newton cap (seed 0 at J_D = 2 with
+        gp.MAX_NEWTON = 1) is a solver failure, not an infeasible seed."""
+        monkeypatch.setattr(gp, "MAX_NEWTON", 1)
+        assert main(["compare", "--jd", "2", "--seeds", "1",
+                     "--out", str(tmp_path / "c.csv")]) == 4
+        assert "phase-1 returned max_iterations" in capsys.readouterr().err
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["convergence", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -54,6 +54,11 @@ class TestBuildFactorGraph:
             build_factor_graph(3, 4, 3)      # only C(3,3)=1 column available
         with pytest.raises(DimensionError):
             build_factor_graph(0, 1, 1)
+        # an all-zero indicator passes every sum check with N = 0
+        with pytest.raises(DimensionError, match="N = 0"):
+            FactorGraph(np.zeros((2, 2), dtype=int), 2, 2, 0)
+        with pytest.raises(DimensionError, match="N = 0"):
+            FactorGraph.from_text("0 0\n0 0")
 
     def test_lex_prefix_can_be_irregular(self):
         """(4, 4, 2) passes the arithmetic preconditions but the first four

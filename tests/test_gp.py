@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from conftest import make_scenario
+from conftest import make_scenario, pack_blocks, unpack_blocks
 from hypothesis import strategies as st
 
 from scma_d2d import allocation, gp
@@ -22,6 +22,7 @@ from scma_d2d.gp import (
 from scma_d2d.posynomial import (
     ConvexFormProblem,
     Monomial,
+    PackedConstraints,
     Posynomial,
     product,
     to_convex_form,
@@ -37,8 +38,7 @@ def lse_problem(registry, obj_a, obj_b, cons=()):
         registry=tuple(registry),
         objective_exponents=np.asarray(obj_a, dtype=float).reshape(-1, n),
         objective_offsets=np.asarray(obj_b, dtype=float).reshape(-1),
-        constraint_exponents=[np.asarray(a, dtype=float).reshape(-1, n) for a, _ in cons],
-        constraint_offsets=[np.asarray(b, dtype=float).reshape(-1) for _, b in cons],
+        constraints=pack_blocks(n, cons),
     )
 
 
@@ -154,7 +154,7 @@ def barrier_case(seed, n, obj_rows, con_sizes):
         b = rng.normal(size=size)
         lse = logsumexp_bundle(a, b, y)[0]
         cons.append((a, b - lse - rng.uniform(0.2, 3.0)))
-    barrier = gp._Barrier(obj_a, obj_b, [a for a, _ in cons], [b for _, b in cons])
+    barrier = gp._Barrier(obj_a, obj_b, pack_blocks(n, cons))
     return barrier, y, (obj_a, obj_b), cons
 
 
@@ -422,6 +422,32 @@ class TestFeasibility:
         assert not feas.feasible
         assert feas.status == MAX_ITERATIONS
 
+    def test_phase1_evaluates_each_point_once(self, monkeypatch):
+        """On seed 0 at J_D = 2, phase-1 evaluates the original
+        constraints at its start and at each accepted Newton step's point,
+        once each."""
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=2)
+        p2 = allocation.build_p2(cfg, ch, graph, occ)
+        problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
+        evaluated, steps = [], []
+        real_exp, real_center = PackedConstraints.shifted_exp, gp._center
+
+        def recording_exp(self, y):
+            if len(y) == problem.n_variables:
+                evaluated.append(y.tobytes())
+            return real_exp(self, y)
+
+        def counting_center(*args, **kwargs):
+            out = real_center(*args, **kwargs)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(PackedConstraints, "shifted_exp", recording_exp)
+        monkeypatch.setattr(gp, "_center", counting_center)
+        feas = find_feasible(problem)
+        assert feas.feasible and sum(steps) > 0
+        assert len(set(evaluated)) == len(evaluated) == 1 + sum(steps)
+
     def test_solve_rejects_infeasible_y0(self):
         p = lse_problem(("y",), [[1.0]], [0.0], cons=[([[1.0]], [0.0])])
         with pytest.raises(ValueError):
@@ -460,7 +486,7 @@ class TestSolverBehaviour:
         cp = to_convex_form(obj, constraints=cons)
         res = solve(cp, y0=np.zeros(3))
         assert res.status == OPTIMAL
-        for a, b in zip(cp.constraint_exponents, cp.constraint_offsets):
+        for a, b in unpack_blocks(cp.constraints):
             val, _, _ = logsumexp_bundle(a, b, res.y)
             assert val <= 1e-8
 
@@ -600,7 +626,7 @@ class TestWarmStart:
                 assert [t for t, _, _, _ in cold.path] == \
                     [gp.INITIAL_T * gp.BARRIER_MU ** i for i in range(len(cold.path))]
                 barrier = gp._Barrier(problem.objective_exponents, problem.objective_offsets,
-                                      problem.constraint_exponents, problem.constraint_offsets)
+                                      problem.constraints)
                 start = gp._warm_start(barrier, warm_path)
                 if start is not None:
                     _, point, t = start
@@ -697,7 +723,7 @@ def _plain_center(barrier, y, point, t, callback=None):
         y, point = accepted, cand_point
         steps += 1
         if callback is not None and callback(y):
-            return y, point, gp.CENTERED, steps
+            return y, point, gp.OPTIMAL, steps
     return y, point, gp.MAX_ITERATIONS, steps
 
 
@@ -782,8 +808,8 @@ class TestTangentPretest:
         which evaluates inside the domain is kept: the margin covers the
         rounding.  A step four times as long is dropped down to 1/4, and a
         step away from the boundary is never dropped."""
-        barrier = gp._Barrier(np.zeros((1, 3)), np.zeros(1), [np.array([[-3.0, 3.0, -3.0]])],
-                              [np.array([-2.206449877026825])])
+        barrier = gp._Barrier(np.zeros((1, 3)), np.zeros(1),
+                              pack_blocks(3, [([[-3.0, 3.0, -3.0]], [-2.206449877026825])]))
         y = np.array([0.24978537155866684, 1.0314530848694723, 0.16100957671534466])
         delta = np.array([-0.10410403465025206, -0.2384620155922975, -0.2491831366888596])
         point = barrier.evaluate(y)

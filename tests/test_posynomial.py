@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import unpack_blocks
 from scma_d2d.posynomial import (
     MERGE_DECIMALS,
     ConvexFormProblem,
@@ -522,9 +523,9 @@ class TestConvexForm:
         obj = Posynomial.constant(REG2, 1.0)
         cap = Monomial.from_powers(REG2, 1.0, {"x1": 1.0}).as_posynomial()
         cp = to_convex_form(obj, constraints=[cap])
-        assert len(cp.constraint_exponents) == 1
-        assert np.allclose(cp.constraint_exponents[0][0], [1.0, 0.0])
-        assert cp.constraint_offsets[0][0] == pytest.approx(0.0)
+        assert cp.constraints.count == 1
+        assert np.allclose(cp.constraints.A[0], [1.0, 0.0])
+        assert cp.constraints.b[0] == pytest.approx(0.0)
 
     def test_round_trip_value_identity(self):
         """G0(x) = exp(G0'(log x)) for random problems and points."""
@@ -540,7 +541,6 @@ class TestConvexForm:
                 lse = cp.objective_exponents @ y + cp.objective_offsets
                 val = np.exp(lse).sum()
                 assert val == pytest.approx(obj.evaluate(x), rel=1e-12)
-                for a, b, g in zip(cp.constraint_exponents,
-                                   cp.constraint_offsets, cons):
+                for (a, b), g in zip(unpack_blocks(cp.constraints), cons, strict=True):
                     assert np.exp(a @ y + b).sum() == pytest.approx(
                         g.evaluate(x), rel=1e-12)
