@@ -25,9 +25,10 @@ final powers to a relative 1e-6.  The Newton step count of every GP solve
 inside `allocate` at J_D = 1, 2 and 4 must match exactly, so a change to
 the Newton kernel can show that it moved only the cost of a step.
 newton_steps_cold.json keeps those counts as they were when every pass
-started the barrier cold at t = 1; no recorder writes it.  Against it,
-the warm-started solves must take the same steps in the first pass, no
-more steps in any pass, and the same number of passes.
+started the barrier cold at t = 1 and stepped it tenfold; no recorder
+writes it.  Against it, the warm-started, hundredfold-stepped solves must
+take no more steps in any pass, the first included, and the same number
+of passes.
 jacobi_eigenvalues.json holds seeded real symmetric and complex Hermitian
 eigensolver inputs with their eigenvalues as float.hex strings, which
 hermitian_eigenvalues must give bit for bit.
@@ -575,8 +576,9 @@ def test_newton_steps_match_golden(fresh):
 
 
 def test_newton_steps_within_cold_ceiling(fresh):
-    """The warm-started passes against the cold-start counts: pass 1 and
-    the pass count unchanged, no pass slower, and at least 40% fewer
+    """The warm-started passes against the cold-start counts: the pass
+    count unchanged, no pass slower (pass 1 is cold on both sides, but
+    the hundredfold barrier step makes it faster), and at least 55% fewer
     steps in total at each J_D."""
     cold = json.loads((FIXTURES / COLD_NEWTON_FILE).read_text())
     warm = json.loads((fresh / NEWTON_FILE).read_text())
@@ -588,14 +590,13 @@ def test_newton_steps_within_cold_ceiling(fresh):
             assert w is None, key
             continue
         assert len(w) == len(c), key
-        assert w[0] == c[0], key
         assert all(a <= b for a, b in zip(w, c)), key
         jd = key.split("_")[0]
         warm_total, cold_total = totals.get(jd, (0, 0))
         totals[jd] = (warm_total + sum(w), cold_total + sum(c))
     assert sorted(totals) == ["jd1", "jd2", "jd4"]
     for jd, (warm_total, cold_total) in totals.items():
-        assert warm_total <= 0.6 * cold_total, (jd, warm_total, cold_total)
+        assert warm_total <= 0.45 * cold_total, (jd, warm_total, cold_total)
 
 
 def test_eigenvalues_match_golden_bit_for_bit():

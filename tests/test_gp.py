@@ -239,7 +239,7 @@ class TestPointReuse:
 
     def test_allocate_builds_each_hessian_once(self, monkeypatch):
         """In one J_D = 2 allocate, every bundled point builds its t-free
-        parts once: centering boundaries (t -> BARRIER_MU t at the same y)
+        parts once: centering boundaries (a larger t at the same y)
         and the warm-start pick that _center starts from add no build."""
         builds, bundled, reused_starts = [], {}, []
         real_parts, real_bundle, real_center = (gp._Barrier.parts, gp._Barrier.bundle,
@@ -602,6 +602,62 @@ def allocate_solves(monkeypatch, seed, jd, **overrides):
     return calls
 
 
+def pass_schedule(t, m):
+    """The barrier weights a pass solve centers at from t: every second
+    point of the grid t * BARRIER_MU**i up to its first point with gap
+    m/t <= DUALITY_GAP_TOL, and that final point."""
+    grid = [t]
+    while m / grid[-1] > gp.DUALITY_GAP_TOL:
+        grid.append(grid[-1] * gp.BARRIER_MU)
+    return grid[::2] + grid[-1:] * (len(grid) % 2 == 0)
+
+
+class TestBarrierSchedule:
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_pass_path_ends_on_the_x10_grid(self, monkeypatch, start):
+        """From t = 10**start, the x100 path of a pass ends at the final t
+        and certified gap of the x10 path, centering only at points of
+        it, and their optima agree within that gap.  The final t is 1e11
+        here, so the last step from t = 1 is clamped to x10 and the one
+        from t = 10 is not."""
+        problem, y0, _, _ = allocate_solves(monkeypatch, seed=0, jd=1)[1]
+        paths = {}
+        for mu in (gp.BARRIER_MU, gp.PASS_BARRIER_MU):
+            barrier = gp._Barrier(problem.objective_exponents, problem.objective_offsets,
+                                  problem.constraints)
+            paths[mu] = gp._central_path(barrier, y0, barrier.evaluate(y0),
+                                         gp.INITIAL_T * gp.BARRIER_MU ** start, mu=mu)
+        (slow_status, slow_steps, slow), (fast_status, fast_steps, fast) = paths.values()
+        assert slow_status == fast_status == OPTIMAL
+        slow_t, fast_t = [r[0] for r in slow], [r[0] for r in fast]
+        assert slow_t == [10.0 ** i for i in range(start, 12)]
+        assert fast_t == slow_t[::2] + slow_t[-1:] * (len(slow_t) % 2 == 0)
+        assert fast_t[-1] / fast_t[-2] == (10.0 if start == 0 else 100.0)
+        assert fast[-1][3] == slow[-1][3] <= gp.DUALITY_GAP_TOL
+        assert abs(fast[-1][2] - slow[-1][2]) <= slow[-1][3]
+        assert fast_steps < slow_steps
+
+    def test_phase1_steps_tenfold(self, monkeypatch):
+        """find_feasible centers at every point of INITIAL_T * BARRIER_MU**i:
+        on seed 2 at J_D = 2, certified infeasible, from t = 1 to the
+        first t whose gap is at most DUALITY_GAP_TOL."""
+        cfg, graph, ch, occ = make_scenario(seed=2, jd=2)
+        p2 = allocation.build_p2(cfg, ch, graph, occ)
+        problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
+        weights, real_center = [], gp._center
+
+        def recording_center(barrier, y, point, t, callback=None):
+            weights.append(t)
+            return real_center(barrier, y, point, t, callback)
+
+        monkeypatch.setattr(gp, "_center", recording_center)
+        feas = find_feasible(problem)
+        assert not feas.feasible and feas.status == OPTIMAL
+        assert weights == [gp.INITIAL_T * gp.BARRIER_MU ** i for i in range(len(weights))]
+        m = problem.constraints.count
+        assert m / weights[-1] <= gp.DUALITY_GAP_TOL < m / weights[-2]
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("jd", [1, 2, 4])
     def test_matches_cold_solve(self, monkeypatch, jd):
@@ -623,8 +679,10 @@ class TestWarmStart:
                 assert abs(np.log(warm.objective_value / cold.objective_value)) \
                     <= cold.certified_gap
                 assert warm.newton_steps_used <= cold.newton_steps_used
-                assert [t for t, _, _, _ in cold.path] == \
-                    [gp.INITIAL_T * gp.BARRIER_MU ** i for i in range(len(cold.path))]
+                m = problem.constraints.count
+                assert cold.path[0][0] == gp.INITIAL_T
+                for res in (warm, cold):
+                    assert [t for t, _, _, _ in res.path] == pass_schedule(res.path[0][0], m)
                 barrier = gp._Barrier(problem.objective_exponents, problem.objective_offsets,
                                       problem.constraints)
                 start = gp._warm_start(barrier, warm_path)
@@ -680,6 +738,29 @@ class TestWarmStart:
         assert res.certified_gap == cold.certified_gap
         assert [t for t, _, _, _ in res.path] == [t for t, _, _, _ in cold.path]
         assert res.newton_steps_used == cold.newton_steps_used + centerings[0][1]
+
+    def test_failing_first_record_scans_down_the_grid(self, monkeypatch):
+        """A first record that fails the decrement test at its t is tried
+        at t / BARRIER_MU, t / BARRIER_MU**2, ...: the solve resumes from
+        it at the largest of those weights that passes.  The record here
+        is the cold path's point centered at t = 1e4, labelled with the
+        final t."""
+        problem, y0, _, _ = allocate_solves(monkeypatch, seed=0, jd=1)[1]
+        cold = solve(problem, y0=y0)
+        t_final, y_mid = cold.path[-1][0], cold.path[2][1]
+        assert cold.path[2][0] == 1e4
+        barrier = gp._Barrier(problem.objective_exponents, problem.objective_offsets,
+                              problem.constraints)
+        y, point, t = gp._warm_start(barrier, [(t_final, y_mid)])
+        assert y is y_mid
+        assert t in [10.0 ** i for i in range(4, 11)]
+        assert -barrier.newton(point, t)[2] <= gp.WARM_DECREMENT_SQ \
+            < -barrier.newton(point, t * gp.BARRIER_MU)[2]
+        res = solve(problem, y0=y0, warm_path=[(t_final, y_mid)])
+        assert res.path[0][0] == t
+        assert res.path[-1][0] == t_final
+        assert res.certified_gap == cold.certified_gap
+        assert res.newton_steps_used < cold.newton_steps_used
 
     def test_unusable_path_runs_cold(self, monkeypatch):
         """A path whose first point is outside the domain gives the cold
