@@ -631,7 +631,7 @@ class TestBarrierSchedule:
         assert slow_status == fast_status == OPTIMAL
         slow_t, fast_t = [r[0] for r in slow], [r[0] for r in fast]
         assert slow_t == [10.0 ** i for i in range(start, 12)]
-        assert fast_t == slow_t[::2] + slow_t[-1:] * (len(slow_t) % 2 == 0)
+        assert fast_t == pass_schedule(slow_t[0], problem.constraints.count)
         assert fast_t[-1] / fast_t[-2] == (10.0 if start == 0 else 100.0)
         assert fast[-1][3] == slow[-1][3] <= gp.DUALITY_GAP_TOL
         assert abs(fast[-1][2] - slow[-1][2]) <= slow[-1][3]
