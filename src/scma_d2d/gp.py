@@ -26,6 +26,10 @@ MAX_ITERATIONS = "max_iterations"
 # was never centered, so no gap is certified for it
 STALLED = "stalled"
 CENTERED = "centered"         # a centering's normal stop, not a solve status
+# a centering's stop, never a solve status: its last line-search step
+# did not lower the barrier value, while the decrement was above the
+# stop test's rounding floor
+ROUNDING_FLOOR = "rounding_floor"
 
 # called directly, the reductions cost less than the array methods on
 # the kernel's small arrays
@@ -78,8 +82,8 @@ class SolverResult:
     # increasing t; certified_gap is the last record's gap, and a later
     # solve with the same constraints can warm-start from it (see solve)
     path: list
-    # barrier evaluations made by the solve: y0's, the warm-start scan's
-    # and every line-search candidate's
+    # barrier evaluations made by the solve: y0's, the warm-start scan's,
+    # _predict's and every line-search candidate's
     evaluations: int
 
 
@@ -109,10 +113,11 @@ class _Point:
     exps.  phi at any t is then float arithmetic.  None of them depends
     on t, and neither do the derivative parts _Barrier.parts computes from
     them, so those are kept here once computed: a second bundle at the
-    same y (a new t at a centering boundary, or the warm-start pick that
-    _center starts from) builds no Hessian again.  step keeps the last
-    (t, phi, Newton step, grad . step) found here, so the warm-start scan's
-    direction at its pick is not solved again by _center."""
+    same y (_predict's at a central point, a centering run again from
+    that point, or the warm-start pick that _center starts from) builds
+    no Hessian again.  step keeps the last (t, phi, Newton step,
+    grad . step) found here, so the warm-start scan's direction at its
+    pick is not solved again by _center."""
 
     __slots__ = ("f0", "negf", "logsum", "e", "sums", "parts", "step")
 
@@ -302,7 +307,9 @@ def _center(barrier, y, point, t, callback=None):
     representable, so demanding more would spin.  The backtracking line
     search starts at barrier.first_alpha.  Returns (y, point, stop, steps)
     at the point reached: stop is CENTERED, OPTIMAL once callback(y) is
-    true, MAX_ITERATIONS, or STALLED when no step down to 1e-18 passes.
+    true, MAX_ITERATIONS, STALLED when no step down to 1e-18 passes, or
+    ROUNDING_FLOOR when the step that passes does not lower the barrier
+    value.
     """
     steps = 0
     eps = float(np.finfo(float).eps)
@@ -325,8 +332,7 @@ def _center(barrier, y, point, t, callback=None):
         if accepted is None:
             return y, point, STALLED, steps
         if cand_val >= val:
-            # rounding floor: no representable progress possible
-            return y, point, CENTERED, steps
+            return y, point, ROUNDING_FLOOR, steps
         y, point = accepted, cand_point
         steps += 1
         if callback is not None and callback(y):
@@ -334,11 +340,43 @@ def _center(barrier, y, point, t, callback=None):
     return y, point, MAX_ITERATIONS, steps
 
 
+def _predict(barrier, y, point, t, t_next):
+    """The start for the centering at t_next, from the central point
+    (y, point) at t: y + t (1 - t/t_next) d with H(t) d = -grad f0, the
+    first-order step along the central path in r = 1/t (the path solves
+    t grad f0 + grad phi = 0, so dy/dt = d).  The step is halved from
+    barrier.first_alpha until it lands strictly inside the domain with a
+    lower barrier value at t_next; (y, point) when no step down to 1e-18
+    does.  H(t) comes from point's cached parts, so no Hessian is built."""
+    _, _, hess, _ = barrier.bundle(point, t)
+    d, _ = _regularized_newton_step(hess, point.parts[0])
+    step = t * (1.0 - t / t_next) * d
+    val = point.phi(t_next)
+    alpha = barrier.first_alpha(point, y, step)
+    while alpha >= 1e-18:
+        cand = y + alpha * step
+        cand_point = barrier.evaluate(cand)
+        if cand_point is not None and cand_point.phi(t_next) < val:
+            return cand, cand_point
+        alpha *= LINE_SEARCH_BACKTRACK
+    return y, point
+
+
 def _central_path(barrier, y, point, t, callback=None, mu=BARRIER_MU):
     """Center at barrier weight t, then mu times more each round, but
     never past the final t: the first point of t * BARRIER_MU**i whose
     certified gap m/t is at most DUALITY_GAP_TOL.  Stops when a centering
-    does not end CENTERED or the final t is centered.
+    does not end CENTERED or the final t is centered.  A centering that
+    ends at ROUNDING_FLOOR hands its point on to the next t as if
+    CENTERED, but at the final t, whose centering is the one that
+    certifies the gap, it is STALLED.
+
+    With mu = PASS_BARRIER_MU (the pass solves) each centering after the
+    first starts at the point _predict gives; when that centering does
+    not end CENTERED, it runs again from the central point the start was
+    predicted from, and the failed attempt's steps still count.  The
+    tenfold path (phase-1) starts each centering at the last central
+    point.
 
     Returns (status, steps, rows) with one (t, y, f0, m/t) row per
     centering; status is the last centering's stop, OPTIMAL at the gap.
@@ -349,15 +387,24 @@ def _central_path(barrier, y, point, t, callback=None, mu=BARRIER_MU):
         t_final *= BARRIER_MU
     total_steps = 0
     rows = []
+    starts = [(y, point)]
     while True:
-        y, point, stop, steps = _center(barrier, y, point, t, callback)
-        total_steps += steps
+        for y, point in starts:   # a predicted start, then its central point
+            y, point, stop, steps = _center(barrier, y, point, t, callback)
+            total_steps += steps
+            if stop == ROUNDING_FLOOR:
+                stop = CENTERED if t < t_final else STALLED
+            if stop == CENTERED:
+                break
         rows.append((t, y, point.f0, m / t))
         if stop != CENTERED:
             return stop, total_steps, rows
         if t >= t_final:
             return OPTIMAL, total_steps, rows
-        t = min(t * mu, t_final)
+        t_prev, t = t, min(t * mu, t_final)
+        starts = [(y, point)]
+        if mu == PASS_BARRIER_MU:
+            starts.insert(0, _predict(barrier, y, point, t_prev, t))
 
 
 def _warm_start(barrier, path):
@@ -389,13 +436,15 @@ def solve(problem: ConvexFormProblem, y0, *,
     strictly feasible for all inequalities (find_feasible supplies one).
 
     The barrier weight steps by PASS_BARRIER_MU, clamped to the final t
-    of the INITIAL_T * BARRIER_MU**i grid.  warm_path is the path of an
-    earlier solve with the same constraints, such as the previous pass of
-    a sequential scheme.  The barrier then resumes from the point
-    _warm_start picks, at its t on the same grid, so the final t and
-    certified gap are those of a cold solve.  With no usable point, or
-    when a warm centering hits the Newton cap or stalls, the solve runs
-    cold from y0 at t = INITIAL_T; the warm attempt's steps still count.
+    of the INITIAL_T * BARRIER_MU**i grid, and each centering after the
+    first starts at the point _predict takes along the central path.
+    warm_path is the path of an earlier solve with the same constraints,
+    such as the previous pass of a sequential scheme.  The barrier then
+    resumes from the point _warm_start picks, at its t on the same grid,
+    so the final t and certified gap are those of a cold solve.  With no
+    usable point, or when a warm centering hits the Newton cap or stalls,
+    the solve runs cold from y0 at t = INITIAL_T; the warm attempt's steps
+    still count.
     """
     barrier = _Barrier(problem.objective_exponents, problem.objective_offsets,
                        problem.constraints)

@@ -239,11 +239,14 @@ class TestPointReuse:
 
     def test_allocate_builds_each_hessian_once(self, monkeypatch):
         """In one J_D = 2 allocate, every bundled point builds its t-free
-        parts once: centering boundaries (a larger t at the same y)
-        and the warm-start pick that _center starts from add no build."""
-        builds, bundled, reused_starts = [], {}, []
+        parts once.  The warm-start pick that _center starts from adds no
+        build, and neither does _predict, which bundles the central point
+        again at a centering boundary; the predicted start is a new point
+        and builds its own parts once."""
+        builds, bundled, center_starts, picks, predicted = [], {}, [], [], []
         real_parts, real_bundle, real_center = (gp._Barrier.parts, gp._Barrier.bundle,
                                                 gp._center)
+        real_warm_start, real_predict = gp._warm_start, gp._predict
 
         def counting_parts(self, point):
             builds.append(point)
@@ -254,20 +257,40 @@ class TestPointReuse:
             return real_bundle(self, point, t)
 
         def recording_center(barrier, y, point, t, callback=None):
-            reused_starts.append(point.parts is not None)
+            center_starts.append((point, point.parts is not None))
             return real_center(barrier, y, point, t, callback)
+
+        def recording_warm_start(barrier, path):
+            start = real_warm_start(barrier, path)
+            picks.append(start and start[1])
+            return start
+
+        def counting_predict(barrier, y, point, t, t_next):
+            before = len(builds)
+            start = real_predict(barrier, y, point, t, t_next)
+            predicted.append((start[1], len(builds) - before))
+            return start
 
         monkeypatch.setattr(gp._Barrier, "parts", counting_parts)
         monkeypatch.setattr(gp._Barrier, "bundle", recording_bundle)
         monkeypatch.setattr(gp, "_center", recording_center)
+        monkeypatch.setattr(gp, "_warm_start", recording_warm_start)
+        monkeypatch.setattr(gp, "_predict", counting_predict)
         cfg, graph, ch, occ = make_scenario(seed=0, jd=2)
         trace = allocation.allocate(cfg, ch, graph, occ)
 
         assert len(builds) == len(bundled) == len({id(p) for p in builds})
+        ready = {}    # whether a point's parts were built when _center first got it
+        for point, parts in center_starts:
+            ready.setdefault(id(point), parts)
+        warm_picks = [point for point in picks if point is not None]
+        assert warm_picks and all(ready[id(point)] for point in warm_picks)
         boundaries = sum(len(p.solver.path) - 1 for p in trace.points)
-        warm_picks = sum(p.solver.path[0][0] > gp.INITIAL_T for p in trace.points)
-        assert warm_picks > 0
-        assert sum(reused_starts) >= boundaries + warm_picks
+        assert len(predicted) >= boundaries > 0
+        assert all(new == 0 for _, new in predicted)
+        # each boundary's centering starts at the predicted point, which
+        # no bundle had seen before
+        assert all(not ready[id(point)] for point, _ in predicted)
 
 
 class TestRegularizedStep:
@@ -640,7 +663,8 @@ class TestBarrierSchedule:
     def test_phase1_steps_tenfold(self, monkeypatch):
         """find_feasible centers at every point of INITIAL_T * BARRIER_MU**i:
         on seed 2 at J_D = 2, certified infeasible, from t = 1 to the
-        first t whose gap is at most DUALITY_GAP_TOL."""
+        first t whose gap is at most DUALITY_GAP_TOL.  Each centering
+        starts where the last one ended: phase-1 never calls _predict."""
         cfg, graph, ch, occ = make_scenario(seed=2, jd=2)
         p2 = allocation.build_p2(cfg, ch, graph, occ)
         problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
@@ -650,7 +674,11 @@ class TestBarrierSchedule:
             weights.append(t)
             return real_center(barrier, y, point, t, callback)
 
+        def no_predict(*args):
+            raise AssertionError("phase-1 called _predict")
+
         monkeypatch.setattr(gp, "_center", recording_center)
+        monkeypatch.setattr(gp, "_predict", no_predict)
         feas = find_feasible(problem)
         assert not feas.feasible and feas.status == OPTIMAL
         assert weights == [gp.INITIAL_T * gp.BARRIER_MU ** i for i in range(len(weights))]
@@ -772,6 +800,124 @@ class TestWarmStart:
         assert res.newton_steps_used == cold.newton_steps_used
 
 
+class TestPredictor:
+    def test_predicted_start_is_nearer_the_path(self, monkeypatch):
+        """On J_D = 2, seed 0, at every centering boundary of every pass,
+        the predicted start's squared Newton decrement at the next weight
+        is below the central point's."""
+        pairs, real_predict = [], gp._predict
+
+        def measuring_predict(barrier, y, point, t, t_next):
+            start = real_predict(barrier, y, point, t, t_next)
+            pairs.append((-barrier.newton(start[1], t_next)[2],
+                          -barrier.newton(point, t_next)[2]))
+            return start
+
+        monkeypatch.setattr(gp, "_predict", measuring_predict)
+        cfg, graph, ch, occ = make_scenario(seed=0, jd=2)
+        trace = allocation.allocate(cfg, ch, graph, occ)
+        assert len(pairs) >= sum(len(p.solver.path) - 1 for p in trace.points) > 0
+        assert all(predicted < central for predicted, central in pairs)
+
+    def test_failed_predicted_centering_falls_back(self, monkeypatch):
+        """A centering from a predicted start that ends STALLED runs again
+        from the central point the start was predicted from, at the same
+        weight; the solve still ends OPTIMAL at the final t and gap of
+        the unforced solve, and counts the failed attempt's steps."""
+        problem, y0, _, _ = allocate_solves(monkeypatch, seed=0, jd=1)[1]
+        plain = solve(problem, y0=y0)
+        predicted, centerings = [], []
+        real_predict, real_center = gp._predict, gp._center
+
+        def recording_predict(barrier, y, point, t, t_next):
+            start = real_predict(barrier, y, point, t, t_next)
+            predicted.append((start[1], y))
+            return start
+
+        def stall_first_predicted(barrier, y, point, t, callback=None):
+            out = real_center(barrier, y, point, t, callback)
+            forced = bool(predicted) and point is predicted[0][0] and len(centerings) == 1
+            centerings.append((t, y, out[3], forced))
+            return out[:2] + ((STALLED,) if forced else out[2:3]) + out[3:]
+
+        monkeypatch.setattr(gp, "_predict", recording_predict)
+        monkeypatch.setattr(gp, "_center", stall_first_predicted)
+        res = solve(problem, y0=y0)
+        assert [c[3] for c in centerings[:3]] == [False, True, False]
+        (t1, _, _, _), (t2, _, _, _), (t3, y3, _, _) = centerings[:3]
+        assert t1 < t2 == t3
+        assert y3 is predicted[0][1]          # the central point at t1
+        assert res.status == OPTIMAL
+        assert [r[0] for r in res.path] == [r[0] for r in plain.path]
+        assert res.certified_gap == plain.certified_gap
+        assert abs(np.log(res.objective_value / plain.objective_value)) <= plain.certified_gap
+        assert res.newton_steps_used == sum(c[2] for c in centerings)
+
+
+class TestRoundingFloor:
+    @staticmethod
+    def stored_pass():
+        """(problem, y0, warm_path) of tests/fixtures/rounding_floor_exit.json."""
+        data = json.loads((FIXTURES / "rounding_floor_exit.json").read_text())
+        unhex = lambda v: np.array([float.fromhex(x) for x in v])
+        n = len(data["registry"])
+        problem = ConvexFormProblem(
+            registry=tuple(data["registry"]),
+            objective_exponents=unhex(data["objective_exponents"]).reshape(-1, n),
+            objective_offsets=unhex(data["objective_offsets"]),
+            constraints=PackedConstraints(unhex(data["constraint_exponents"]).reshape(-1, n),
+                                          unhex(data["constraint_offsets"]),
+                                          np.array(data["constraint_sizes"])))
+        path = [(float.fromhex(r["t"]), unhex(r["y"])) for r in data["warm_path"]]
+        return problem, unhex(data["y0"]), path
+
+    def test_floor_exit_at_final_t_certifies_no_gap(self):
+        """Pass 4 of J_D = 1, seed 3, D2D cap 28 dBm resumes at the final
+        t = 1e11, where its line search meets a step that does not lower
+        the barrier value while the decrement is 1.0, above the stop
+        test's floor of 0.18.  Read as centered, that point certified a
+        gap of 2.6e-10 at a log objective 2.6e-5 above the optimum.  The
+        stop is ROUNDING_FLOOR, the path STALLED, and the solve restarts
+        cold to the cold solve's optimum."""
+        problem, y0, path = self.stored_pass()
+        barrier = gp._Barrier(problem.objective_exponents, problem.objective_offsets,
+                              problem.constraints)
+        y, point, t = gp._warm_start(barrier, path)
+        m = problem.constraints.count
+        assert m / t <= gp.DUALITY_GAP_TOL < m / (t / gp.BARRIER_MU)
+        assert gp._center(barrier, y, point, t)[2] == gp.ROUNDING_FLOOR
+        assert gp._central_path(barrier, y, point, t, mu=gp.PASS_BARRIER_MU)[0] == STALLED
+        cold = solve(problem, y0=y0)
+        res = solve(problem, y0=y0, warm_path=path)
+        assert res.status == cold.status == OPTIMAL
+        assert res.path[-1][0] == cold.path[-1][0]
+        assert res.certified_gap == cold.certified_gap
+        assert abs(np.log(res.objective_value / cold.objective_value)) <= cold.certified_gap
+
+    def test_floor_exit_before_final_t_hands_on(self, monkeypatch):
+        """Phase-1 of a 5 m cell with 1 m D2D links, J_D = 2, seed 8, ends
+        its centering at t = 1e7 at the rounding floor (decrement 9.4e-5
+        against a floor of 5.8e-5).  No gap is read from that centering:
+        the path goes on from its point and certifies the draw infeasible
+        at the final t."""
+        cfg, graph, ch, occ = make_scenario(seed=8, jd=2, cell_radius_m=5.0,
+                                            d2d_distance_range_m=(1.0, 1.0))
+        p2 = allocation.build_p2(cfg, ch, graph, occ)
+        problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
+        stops, real_center = [], gp._center
+
+        def recording_center(barrier, y, point, t, callback=None):
+            out = real_center(barrier, y, point, t, callback)
+            stops.append((t, out[2]))
+            return out
+
+        monkeypatch.setattr(gp, "_center", recording_center)
+        feas = find_feasible(problem)
+        assert (1e7, gp.ROUNDING_FLOOR) in stops
+        assert stops[-1][1] == gp.CENTERED
+        assert not feas.feasible and feas.status == OPTIMAL and feas.max_slack > 0
+
+
 REAL_CENTER = gp._center
 
 
@@ -800,7 +946,7 @@ def _plain_center(barrier, y, point, t, callback=None):
         if accepted is None:
             return y, point, gp.STALLED, steps
         if cand_val >= val:
-            return y, point, gp.CENTERED, steps
+            return y, point, gp.ROUNDING_FLOOR, steps
         y, point = accepted, cand_point
         steps += 1
         if callback is not None and callback(y):
@@ -1061,10 +1207,24 @@ class TestEvaluationCount:
         res = solve(problem, y0=y0, warm_path=warm_path)
         assert res.evaluations == len(counted) > res.newton_steps_used
 
-    def test_jd4_allocate_evaluates_little_more_than_once_per_step(self):
-        """Without the tangent pre-test this figure is about 2.1."""
+    def test_jd4_allocate_evaluates_little_more_than_once_per_step(self, monkeypatch):
+        """Apart from _predict's, the evaluations number fewer than 1.2 per
+        Newton step (without the tangent pre-test this figure is about
+        2.1), and _predict makes at most 1.5 per centering boundary."""
+        boundaries, predicted = [], []
+        real_predict = gp._predict
+
+        def counting_predict(barrier, y, point, t, t_next):
+            before = barrier.evaluations
+            start = real_predict(barrier, y, point, t, t_next)
+            boundaries.append(t_next)
+            predicted.append(barrier.evaluations - before)
+            return start
+
+        monkeypatch.setattr(gp, "_predict", counting_predict)
         cfg, graph, ch, occ = make_scenario(seed=0, jd=4)
         trace = allocation.allocate(cfg, ch, graph, occ)
         evaluations = sum(p.solver.evaluations for p in trace.points)
         steps = sum(p.solver.newton_steps_used for p in trace.points)
-        assert evaluations < 1.2 * steps
+        assert evaluations - sum(predicted) < 1.2 * steps
+        assert boundaries and sum(predicted) <= 1.5 * len(boundaries)
