@@ -834,24 +834,23 @@ class TestPredictor:
             predicted.append((start[1], y))
             return start
 
-        def stall_first_predicted(barrier, y, point, t, callback=None):
-            out = real_center(barrier, y, point, t, callback)
-            forced = bool(predicted) and point is predicted[0][0] and len(centerings) == 1
-            centerings.append((t, y, out[3], forced))
-            return out[:2] + ((STALLED,) if forced else out[2:3]) + out[3:]
+        def stall_second(barrier, y, point, t, callback=None):
+            y_end, point_end, stop, steps = real_center(barrier, y, point, t, callback)
+            centerings.append((t, y, point, steps))
+            return y_end, point_end, STALLED if len(centerings) == 2 else stop, steps
 
         monkeypatch.setattr(gp, "_predict", recording_predict)
-        monkeypatch.setattr(gp, "_center", stall_first_predicted)
+        monkeypatch.setattr(gp, "_center", stall_second)
         res = solve(problem, y0=y0)
-        assert [c[3] for c in centerings[:3]] == [False, True, False]
-        (t1, _, _, _), (t2, _, _, _), (t3, y3, _, _) = centerings[:3]
+        (t1, _, _, _), (t2, _, start2, _), (t3, y3, _, _) = centerings[:3]
         assert t1 < t2 == t3
-        assert y3 is predicted[0][1]          # the central point at t1
+        assert start2 is predicted[0][0]      # the stalled centering began predicted
+        assert y3 is predicted[0][1]          # and ran again from the central point at t1
         assert res.status == OPTIMAL
         assert [r[0] for r in res.path] == [r[0] for r in plain.path]
         assert res.certified_gap == plain.certified_gap
         assert abs(np.log(res.objective_value / plain.objective_value)) <= plain.certified_gap
-        assert res.newton_steps_used == sum(c[2] for c in centerings)
+        assert res.newton_steps_used == sum(c[3] for c in centerings)
 
 
 class TestRoundingFloor:
