@@ -107,11 +107,16 @@ def logsumexp_bundle(exponents, offsets, y):
     return float(m + np.log(s)), g, hess
 
 
+# the index of the objective's one block, for np.add.reduceat
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
 class _Point:
     """The barrier's values at one y: f0, -f_s per constraint, sum_s
-    log(-f_s), exp(z - block max) per row and per-block sums of those
-    exps.  phi at any t is then float arithmetic.  None of them depends
-    on t, and neither do the derivative parts _Barrier.parts computes from
+    log(-f_s), and exp(z - block max) per row with its per-block sums,
+    for the objective (e0, s0) and for the constraints (e_con, s_con).
+    phi at any t is then float arithmetic.  None of them depends on t,
+    and neither do the derivative parts _Barrier.parts computes from
     them, so those are kept here once computed: a second bundle at the
     same y (_predict's at a central point, a centering run again from
     that point, or the warm-start pick that _center starts from) builds
@@ -119,10 +124,11 @@ class _Point:
     grad . step) found here, so the warm-start scan's direction at its
     pick is not solved again by _center."""
 
-    __slots__ = ("f0", "negf", "logsum", "e", "sums", "parts", "step")
+    __slots__ = ("f0", "negf", "logsum", "e0", "s0", "e_con", "s_con", "parts", "step")
 
-    def __init__(self, f0, negf, logsum, e, sums):
-        self.f0, self.negf, self.logsum, self.e, self.sums = f0, negf, logsum, e, sums
+    def __init__(self, f0, negf, logsum, e0, s0, e_con, s_con):
+        self.f0, self.negf, self.logsum = f0, negf, logsum
+        self.e0, self.s0, self.e_con, self.s_con = e0, s0, e_con, s_con
         self.parts = self.step = None
 
     def phi(self, t):
@@ -133,72 +139,67 @@ class _Point:
 class _Barrier:
     """Centering objective t*f0(y) - sum_s log(-f_s(y)).
 
-    The objective's rows are packed in front of the constraints' as block
-    0, so one matmul, one exp and one reduceat serve f0 and every f_s.
-    With u = -1/f_s, row s of G the LSE gradient of block s and g0 its
-    row 0, the gradient is t*g0 + G_con^T u and the Hessian is
+    The problem's constraint pack is evaluated first, and the objective's
+    rows only at points inside the domain, so a line-search candidate
+    outside it costs the constraint rows alone.  With u = -1/f_s, G the
+    LSE gradients of the constraint blocks (one row per block) and g0 the
+    objective's, the gradient is t*g0 + G^T u and the Hessian is
     t*H_obj + H_con, where H_obj = A0^T diag(w0) A0 - g0 g0^T is the
     objective's LSE Hessian and H_con = A_con^T diag(w u[block]) A_con +
-    G_con^T diag(u^2 - u) G_con, w being the per-block softmax weights.
-    g0, G_con^T u, H_obj and H_con do not depend on t.
+    G^T diag(u^2 - u) G, w being the per-block softmax weights.  g0,
+    G^T u, H_obj and H_con do not depend on t.
     """
 
     def __init__(self, obj_exponents, obj_offsets, constraints):
-        self.packed = PackedConstraints(
-            np.vstack([obj_exponents, constraints.A]),
-            np.concatenate([obj_offsets, constraints.b]),
-            np.concatenate(([len(obj_offsets)], constraints.sizes)))
-        head = self.packed.head
-        self.a0 = self.packed.A[:head]
-        self.a_con = self.packed.A[head:]
+        self.a0, self.b0, self.constraints = obj_exponents, obj_offsets, constraints
         # C-contiguous transposes: scaling their columns by row weights and
         # multiplying by A is cheaper than the same product on A.T
-        self.a0_t = np.ascontiguousarray(self.a0.T)
-        self.a_con_t = np.ascontiguousarray(self.a_con.T)
-        self.con_starts = self.packed.starts[1:] - head
-        self.con_block = self.packed.tail_seg - 1   # constraint index per row
-        # the constants of the tangent pre-test's margin (see first_alpha)
-        n = self.packed.A.shape[1]
-        self.row_norm = float(np.abs(self.a_con).sum(axis=1).max(initial=0.0))
-        self.offset_max = float(np.abs(self.packed.b[head:]).max(initial=0.0))
-        self.block_max = int(self.packed.sizes[1:].max(initial=0))
-        self.margin_unit = 8 * (n + 10 * self.block_max + 10) * (np.finfo(float).eps / 2)
+        self.a0_t = np.ascontiguousarray(obj_exponents.T)
+        self.a_con_t = np.ascontiguousarray(constraints.A.T)
         self.evaluations = 0
 
     def evaluate(self, y):
         """A _Point at y, or None when y is outside the domain (some
-        f_s >= 0).  One evaluation serves the line search and every
-        later bundle at y."""
+        f_s >= 0), found before any objective row is read.  One
+        evaluation serves the line search and every later bundle at y."""
         self.evaluations += 1
-        vals, e, sums = self.packed.shifted_exp(y)
-        negf = -vals[1:]
+        vals, e_con, s_con = self.constraints.shifted_exp(y)
+        negf = -vals
         if len(negf) and _min(negf) <= 0:
             return None
-        return _Point(float(vals[0]), negf, float(_sum(np.log(negf))), e, sums)
+        z = self.a0.dot(y)
+        z += self.b0
+        mx = _max(z)
+        z -= mx
+        e0 = np.exp(z, out=z)
+        # summed as the constraint pack sums a block: np.add.reduce rounds
+        # differently
+        s0 = np.add.reduceat(e0, _FIRST)[0]
+        return _Point(float(mx + np.log(s0)), negf, float(_sum(np.log(negf))),
+                      e0, s0, e_con, s_con)
 
     def parts(self, point):
-        """(g0, G_con, G_con^T u, H_obj, H_con) at point."""
-        head = self.packed.head
-        e0, e_con = point.e[:head], point.e[head:]
-        s0, s_con = point.sums[0], point.sums[1:]
+        """(g0, G^T u, H_obj, H_con) at point."""
+        cons = self.constraints
+        e0, s0, e_con, s_con = point.e0, point.s0, point.e_con, point.s_con
         u = 1.0 / point.negf
-        # block 0's gradient is one gemv over its (possibly thousands of)
-        # rows; the small constraint blocks share one reduceat
+        # the objective's gradient is one gemv over its (possibly
+        # thousands of) rows; the small constraint blocks share one reduceat
         g0 = self.a0_t.dot(e0) / s0
-        g_con = np.add.reduceat(self.a_con * e_con[:, None], self.con_starts, axis=0)
+        g_con = np.add.reduceat(cons.A * e_con[:, None], cons.starts, axis=0)
         g_con /= s_con[:, None]
         h_obj = (self.a0_t * (e0 / s0)).dot(self.a0)
         h_obj -= g0[:, None] * g0
-        h_con = (self.a_con_t * (e_con * (u / s_con)[self.con_block])).dot(self.a_con)
+        h_con = (self.a_con_t * (e_con * (u / s_con)[cons.row_block])).dot(cons.A)
         h_con += (g_con.T * (u * u - u)).dot(g_con)
-        return g0, g_con, u.dot(g_con), h_obj, h_con
+        return g0, u.dot(g_con), h_obj, h_con
 
     def bundle(self, point, t):
         """(phi, gradient, Hessian, f0) at the evaluated point.  The
         Hessian is a new array, so the caller may change it."""
         if point.parts is None:
             point.parts = self.parts(point)
-        g0, _, gu, h_obj, h_con = point.parts
+        g0, gu, h_obj, h_con = point.parts
         hess = h_obj * t
         hess += h_con
         return point.phi(t), t * g0 + gu, hess, point.f0
@@ -211,39 +212,6 @@ class _Barrier:
             val, grad, hess, _ = self.bundle(point, t)
             point.step = step = (t, val, *_regularized_newton_step(hess, grad))
         return step[1:]
-
-    def first_alpha(self, point, y, delta):
-        """The first step 2^-k (k >= 0) of the backtracking line search
-        from point along delta that the tangent pre-test keeps.
-
-        Each f_s is convex, so f_s(y + a delta) >= f_s(y) + a G_s . delta,
-        and a step whose tangent value clears margin is outside the
-        domain without being evaluated.  Let u = eps/2, n the number of
-        variables, L the longest block, K the largest 1-norm of a
-        constraint row, B the largest |offset|, c = n + 10L + 10, |v| the
-        2-norm (at least the max norm, which is all the bounds use), and
-        exp and log within 4 ulps.  Then the computed LSE
-        value at a point v is within c u (K |v| + B + |f_s(v)| + 1) of
-        the exact one, and the computed slope G_s . delta within
-        2c u (K |y| + B + 1) K |delta| (Higham, Accuracy and Stability of
-        Numerical Algorithms, 3.1).  With |f_s(v)| <= K |v| + B + log L,
-        |y + a delta| <= |y| + |delta| for a <= 1, and the rounding of
-        y + a delta itself (at most u K |y + a delta| in f_s), the errors
-        at y, at the candidate and in a times the slope sum to at most
-        half of margin = 8 c u S (1 + K |delta|), with
-        S = 2 (K |y| + B) + K |delta| + L + 1; the other half covers the
-        rounding of the test a G_s . delta > -f_s(y) + margin itself.  So
-        every step dropped would evaluate outside the domain, and the
-        steps the search evaluates are those it evaluates without the
-        test."""
-        k, d = self.row_norm, math.sqrt(delta.dot(delta))
-        s = 2 * (k * math.sqrt(y.dot(y)) + self.offset_max) + k * d + self.block_max + 1
-        slope = point.parts[1].dot(delta)
-        ratio = _max(slope / (point.negf + self.margin_unit * s * (1 + k * d))) if len(slope) else 0.0
-        alpha = 1.0
-        while alpha * ratio > 1.0 and alpha >= 1e-18:
-            alpha *= LINE_SEARCH_BACKTRACK
-        return alpha
 
 
 def _raise_singular(err, flag):
@@ -305,7 +273,7 @@ def _center(barrier, y, point, t, callback=None):
     barrier value itself: at large t the barrier magnitude reaches ~t*|f0|
     and quadratic-model improvements smaller than eps times that are not
     representable, so demanding more would spin.  The backtracking line
-    search starts at barrier.first_alpha.  Returns (y, point, stop, steps)
+    search starts at the full step.  Returns (y, point, stop, steps)
     at the point reached: stop is CENTERED, OPTIMAL once callback(y) is
     true, MAX_ITERATIONS, STALLED when no step down to 1e-18 passes, or
     ROUNDING_FLOOR when the step that passes does not lower the barrier
@@ -318,7 +286,7 @@ def _center(barrier, y, point, t, callback=None):
         decrement = math.sqrt(max(-descent, 0.0))
         if decrement <= max(NEWTON_TOL, math.sqrt(32.0 * eps * abs(val))):
             return y, point, CENTERED, steps
-        alpha = barrier.first_alpha(point, y, delta)
+        alpha = 1.0
         accepted = None
         while alpha >= 1e-18:
             cand = y + alpha * delta
@@ -344,15 +312,15 @@ def _predict(barrier, y, point, t, t_next):
     """The start for the centering at t_next, from the central point
     (y, point) at t: y + t (1 - t/t_next) d with H(t) d = -grad f0, the
     first-order step along the central path in r = 1/t (the path solves
-    t grad f0 + grad phi = 0, so dy/dt = d).  The step is halved from
-    barrier.first_alpha until it lands strictly inside the domain with a
-    lower barrier value at t_next; (y, point) when no step down to 1e-18
-    does.  H(t) comes from point's cached parts, so no Hessian is built."""
+    t grad f0 + grad phi = 0, so dy/dt = d).  The full step is halved
+    until it lands strictly inside the domain with a lower barrier value
+    at t_next; (y, point) when no step down to 1e-18 does.  H(t) comes
+    from point's cached parts, so no Hessian is built."""
     _, _, hess, _ = barrier.bundle(point, t)
     d, _ = _regularized_newton_step(hess, point.parts[0])
     step = t * (1.0 - t / t_next) * d
     val = point.phi(t_next)
-    alpha = barrier.first_alpha(point, y, step)
+    alpha = 1.0
     while alpha >= 1e-18:
         cand = y + alpha * step
         cand_point = barrier.evaluate(cand)
@@ -378,29 +346,35 @@ def _central_path(barrier, y, point, t, callback=None, mu=BARRIER_MU):
     tenfold path (phase-1) starts each centering at the last central
     point.
 
-    Returns (status, steps, rows) with one (t, y, f0, m/t) row per
-    centering; status is the last centering's stop, OPTIMAL at the gap.
+    Returns (status, steps, rows, centered) with one (t, y, f0, m/t) row
+    per centering; status is the last centering's stop, OPTIMAL at the
+    gap, and centered is the last row whose centering ended CENTERED
+    (not handed on from the floor), or None.
     """
-    m = barrier.packed.count - 1
+    m = barrier.constraints.count
     t_final = t
     while m / t_final > DUALITY_GAP_TOL:
         t_final *= BARRIER_MU
     total_steps = 0
     rows = []
+    centered = None
     starts = [(y, point)]
     while True:
         for y, point in starts:   # a predicted start, then its central point
             y, point, stop, steps = _center(barrier, y, point, t, callback)
             total_steps += steps
-            if stop == ROUNDING_FLOOR:
+            floor = stop == ROUNDING_FLOOR
+            if floor:
                 stop = CENTERED if t < t_final else STALLED
             if stop == CENTERED:
                 break
         rows.append((t, y, point.f0, m / t))
         if stop != CENTERED:
-            return stop, total_steps, rows
+            return stop, total_steps, rows, centered
+        if not floor:
+            centered = rows[-1]
         if t >= t_final:
-            return OPTIMAL, total_steps, rows
+            return OPTIMAL, total_steps, rows, centered
         t_prev, t = t, min(t * mu, t_final)
         starts = [(y, point)]
         if mu == PASS_BARRIER_MU:
@@ -456,10 +430,10 @@ def solve(problem: ConvexFormProblem, y0, *,
     steps = 0
     warm = _warm_start(barrier, warm_path) if warm_path else None
     if warm is not None:
-        status, steps, rows = _central_path(barrier, *warm, mu=PASS_BARRIER_MU)
+        status, steps, rows, _ = _central_path(barrier, *warm, mu=PASS_BARRIER_MU)
     if warm is None or status != OPTIMAL:
-        status, cold_steps, rows = _central_path(barrier, y0, point, INITIAL_T,
-                                                 mu=PASS_BARRIER_MU)
+        status, cold_steps, rows, _ = _central_path(barrier, y0, point, INITIAL_T,
+                                                    mu=PASS_BARRIER_MU)
         steps += cold_steps
     _, y, f0, gap = rows[-1]
     return SolverResult(y=y, x=np.exp(y), objective_value=float(np.exp(f0)),
@@ -474,7 +448,10 @@ def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
     Minimizes an auxiliary slack tau subject to lse_s(y) <= tau, stopping
     as soon as a point with all slacks below -1e-6 appears.  When the
     phase-1 optimum certifies min tau >= -1e-6 the problem is reported
-    infeasible along with the best achieved slack.
+    infeasible (status OPTIMAL) along with the best achieved slack.  A
+    path that stops uncertified, such as at the rounding floor of its
+    final t, still certifies it when its last record that ended CENTERED
+    has tau - m/t >= -1e-6.
     """
     n = problem.n_variables
     cons = problem.constraints
@@ -500,9 +477,14 @@ def find_feasible(problem: ConvexFormProblem) -> FeasibilityResult:
     if early_exit(z):
         return FeasibilityResult(True, np.zeros(n), best_slack, OPTIMAL)
     z[-1] = best_slack + 1.0      # tau = max_s lse_s(0) + 1
-    status, _, rows = _central_path(barrier, z, barrier.evaluate(z), INITIAL_T,
-                                    callback=early_exit)
+    status, _, rows, centered = _central_path(barrier, z, barrier.evaluate(z), INITIAL_T,
+                                              callback=early_exit)
     if best_slack < -FEASIBILITY_MARGIN:
         # early_exit stops the path at the first point that clears the margin
         return FeasibilityResult(True, rows[-1][1][:-1], best_slack, OPTIMAL)
+    if status != OPTIMAL and centered is not None:
+        # a record centered at weight t bounds min tau below by tau - m/t
+        _, _, tau, gap = centered
+        if tau - gap >= -FEASIBILITY_MARGIN:
+            status = OPTIMAL
     return FeasibilityResult(False, None, best_slack, status)

@@ -349,28 +349,21 @@ def condense(g: Posynomial, x0) -> Monomial:
 
 class PackedConstraints:
     """LSE blocks stacked for vectorized evaluation: block s holds rows
-    starts[s] up to the next start of exponents A and offsets b.
-    shifted_exp needs at least one block."""
+    starts[s] up to the next start of exponents A and offsets b."""
 
     def __init__(self, A, b, sizes):
         self.A, self.b, self.sizes = A, b, sizes
         self.count = len(sizes)
-        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        # the first block's row count, and the block of each later row
-        self.head = int(sizes[:1].sum())
-        self.tail_seg = np.repeat(np.arange(1, self.count), sizes[1:])
+        self.starts = np.cumsum(sizes) - sizes
+        self.row_block = np.repeat(np.arange(self.count), sizes)   # the block of each row
 
     def shifted_exp(self, y):
         """(lse value per block, exp(z - block max) per row, per-block sums
-        of those exps) at y, where z = A y + b.
-
-        The first block is shifted by its scalar max, so that a large first
-        block (the barrier's objective) costs no per-row gather."""
+        of those exps) at y, where z = A y + b."""
         z = self.A.dot(y)
         z += self.b
         mx = np.maximum.reduceat(z, self.starts)
-        z[:self.head] -= mx[0]
-        z[self.head:] -= mx[self.tail_seg]
+        z -= mx[self.row_block]
         e = np.exp(z, out=z)
         sums = np.add.reduceat(e, self.starts)
         return mx + np.log(sums), e, sums

@@ -219,6 +219,20 @@ class TestPackedBarrier:
         far = y + 50.0 * a[0] / np.linalg.norm(a[0])
         assert barrier.evaluate(far) is None
 
+    def test_outside_domain_reads_no_objective_row(self):
+        """The constraints are evaluated first, and a point outside the
+        domain is turned away before any objective row is read.  Every
+        read of this objective's rows computes inf - inf, which raises
+        under np.errstate(invalid="raise"); a point inside reads them."""
+        _, y, (obj_a, _), cons = barrier_case(3, 2, 3, [2, 1])
+        poisoned = gp._Barrier(obj_a, np.full(3, np.inf), pack_blocks(2, cons))
+        a, _ = cons[1]
+        far = y + 50.0 * a[0] / np.linalg.norm(a[0])
+        with np.errstate(invalid="raise"):
+            assert poisoned.evaluate(far) is None
+            with pytest.raises(FloatingPointError):
+                poisoned.evaluate(y)
+
 
 class TestPointReuse:
     @pytest.mark.parametrize("obj_rows, con_sizes", [(4096, [1, 3, 1, 5]), (7, []),
@@ -649,7 +663,7 @@ class TestBarrierSchedule:
             barrier = gp._Barrier(problem.objective_exponents, problem.objective_offsets,
                                   problem.constraints)
             paths[mu] = gp._central_path(barrier, y0, barrier.evaluate(y0),
-                                         gp.INITIAL_T * gp.BARRIER_MU ** start, mu=mu)
+                                         gp.INITIAL_T * gp.BARRIER_MU ** start, mu=mu)[:3]
         (slow_status, slow_steps, slow), (fast_status, fast_steps, fast) = paths.values()
         assert slow_status == fast_status == OPTIMAL
         slow_t, fast_t = [r[0] for r in slow], [r[0] for r in fast]
@@ -853,6 +867,21 @@ class TestPredictor:
         assert res.newton_steps_used == sum(c[3] for c in centerings)
 
 
+# small-cell draws whose phase-1 ends at the rounding floor of its final
+# t, each with the lower bound on min tau, rounded down, that its record
+# at t = 1e10 proves
+PHASE1_FLOOR_DRAWS = [
+    (dict(jd=1, seed=806080, cell_radius_m=2.8173329437295007,
+          cellular_power_cap_dbm=39.134327111422664, d2d_power_cap_dbm=12.447407924986223,
+          cellular_sinr_floor_db=6.013643197097146, d2d_sinr_floor_db=1.0107078817533992,
+          d2d_distance_range_m=(1.6588342710394002, 7.176889739826214)), 2.0163),
+    (dict(jd=3, seed=520924, cell_radius_m=3.9501991380636103,
+          cellular_power_cap_dbm=30.477809376654623, d2d_power_cap_dbm=36.87921460941281,
+          cellular_sinr_floor_db=5.532440112657728, d2d_sinr_floor_db=19.177916361559166,
+          d2d_distance_range_m=(10.12140059652777, 16.78248362807988)), 5.0622),
+]
+
+
 class TestRoundingFloor:
     @staticmethod
     def stored_pass():
@@ -916,41 +945,55 @@ class TestRoundingFloor:
         assert stops[-1][1] == gp.CENTERED
         assert not feas.feasible and feas.status == OPTIMAL and feas.max_slack > 0
 
+    @pytest.mark.parametrize("draw, bound", PHASE1_FLOOR_DRAWS, ids=["jd1", "jd3"])
+    def test_phase1_floor_exit_at_final_t_certifies_from_last_centered(self, monkeypatch,
+                                                                       draw, bound):
+        """Phase-1 on these small-cell draws centers at t = 1e8 to 1e10,
+        and its centering at the final t = 1e11 ends at the rounding
+        floor.  That centering certifies no gap, but the record at 1e10
+        ended CENTERED with tau - m/t >= bound > 0, so allocate reports
+        the draw infeasible and does not raise "phase-1 returned
+        stalled"."""
+        stops, real_center = [], gp._center
 
-REAL_CENTER = gp._center
+        def recording_center(barrier, y, point, t, callback=None):
+            out = real_center(barrier, y, point, t, callback)
+            stops.append((t, out[2]))
+            return out
 
+        monkeypatch.setattr(gp, "_center", recording_center)
+        cfg, graph, ch, occ = make_scenario(**draw)
+        with pytest.raises(allocation.InfeasibleScenarioError) as err:
+            allocation.allocate(cfg, ch, graph, occ)
+        assert stops[-3:] == [(1e9, gp.CENTERED), (1e10, gp.CENTERED),
+                              (1e11, gp.ROUNDING_FLOOR)]
+        assert err.value.max_slack >= bound
 
-def _plain_center(barrier, y, point, t, callback=None):
-    """gp._center without the tangent pre-test: every line search starts
-    at alpha = 1 and evaluates each halving in turn.  The reference the
-    pre-test must match bit for bit."""
-    steps = 0
-    eps = np.finfo(float).eps
-    for _ in range(gp.MAX_NEWTON):
-        val, delta, descent = barrier.newton(point, t)
-        decrement = np.sqrt(max(-descent, 0.0))
-        if decrement <= max(gp.NEWTON_TOL, np.sqrt(32.0 * eps * abs(val))):
-            return y, point, gp.CENTERED, steps
-        alpha = 1.0
-        accepted = None
-        while alpha >= 1e-18:
-            cand = y + alpha * delta
-            cand_point = barrier.evaluate(cand)
-            if cand_point is not None:
-                cand_val = cand_point.phi(t)
-                if cand_val <= val + gp.LINE_SEARCH_SLOPE * alpha * descent:
-                    accepted = cand
-                    break
-            alpha *= gp.LINE_SEARCH_BACKTRACK
-        if accepted is None:
-            return y, point, gp.STALLED, steps
-        if cand_val >= val:
-            return y, point, gp.ROUNDING_FLOOR, steps
-        y, point = accepted, cand_point
-        steps += 1
-        if callback is not None and callback(y):
-            return y, point, gp.OPTIMAL, steps
-    return y, point, gp.MAX_ITERATIONS, steps
+    def test_phase1_certificate_skips_floor_hand_ons(self, monkeypatch):
+        """A record handed on from the rounding floor is not centered: with
+        the first draw's centering at t = 1e10 reported as a floor exit,
+        phase-1's path names its record at 1e9 as the last centered one."""
+        draw, _ = PHASE1_FLOOR_DRAWS[0]
+        cfg, graph, ch, occ = make_scenario(**draw)
+        p2 = allocation.build_p2(cfg, ch, graph, occ)
+        problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
+        paths, real_center, real_path = [], gp._center, gp._central_path
+
+        def floor_at_1e10(barrier, y, point, t, callback=None):
+            y, point, stop, steps = real_center(barrier, y, point, t, callback)
+            return y, point, gp.ROUNDING_FLOOR if t == 1e10 else stop, steps
+
+        def recording_path(*args, **kwargs):
+            paths.append(real_path(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(gp, "_center", floor_at_1e10)
+        monkeypatch.setattr(gp, "_central_path", recording_path)
+        feas = find_feasible(problem)
+        (status, _, rows, centered), = paths
+        assert status == STALLED and [r[0] for r in rows[-3:]] == [1e9, 1e10, 1e11]
+        assert centered is rows[-3]
+        assert not feas.feasible and feas.status == OPTIMAL
 
 
 def _solver_bytes(res):
@@ -959,94 +1002,8 @@ def _solver_bytes(res):
     return repr((res.status, res.newton_steps_used, res.y.tobytes(), path))
 
 
-def _recorded(run, center):
-    """(run(), evaluations) with gp._center replaced by center; each
-    barrier evaluation is recorded as (y bytes, inside the domain)."""
-    calls = []
-    real = gp._Barrier.evaluate
-
-    def recording(self, y):
-        point = real(self, y)
-        calls.append((y.tobytes(), point is not None))
-        return point
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gp._Barrier, "evaluate", recording)
-        patch.setattr(gp, "_center", center)
-        return run(), calls
-
-
-def assert_pretest_exact(run, fingerprint):
-    """run() gives the same fingerprint with the pre-test as with the
-    plain search, and its evaluations are the plain search's with some
-    outside the domain left out.  Returns how many were left out."""
-    want, want_calls = _recorded(run, _plain_center)
-    got, got_calls = _recorded(run, REAL_CENTER)
-    assert fingerprint(got) == fingerprint(want)
-    kept = iter(got_calls)
-    nxt = next(kept, None)
-    dropped = 0
-    for call in want_calls:
-        if call == nxt:
-            nxt = next(kept, None)
-        else:
-            assert not call[1], "the pre-test dropped a step inside the domain"
-            dropped += 1
-    assert nxt is None
-    return dropped
-
-
 def _trace_bytes(trace):
     return repr([trace.rates()] + [_solver_bytes(p.solver) for p in trace.points])
-
-
-class TestTangentPretest:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
-           obj_rows=st.integers(1, 6),
-           con_sizes=st.lists(st.integers(1, 5), max_size=6))
-    def test_random_gps_match_plain_search(self, seed, n, obj_rows, con_sizes):
-        problem, w, _, _ = witness_gp(seed, n, obj_rows, con_sizes)
-        assert_pretest_exact(lambda: solve(problem, y0=w), _solver_bytes)
-
-    @pytest.mark.parametrize("seed", [2, 40])
-    def test_phase1_on_infeasible_draws_matches_plain_search(self, seed):
-        cfg, graph, ch, occ = make_scenario(seed=seed, jd=2)
-        p2 = allocation.build_p2(cfg, ch, graph, occ)
-        problem = to_convex_form(product(p2.numerator_factors), constraints=p2.constraints)
-
-        def fingerprint(feas):
-            assert not feas.feasible
-            return repr((feas.status, feas.max_slack))
-
-        assert assert_pretest_exact(lambda: find_feasible(problem), fingerprint) > 0
-
-    @pytest.mark.parametrize("jd", [1, 2, 4])
-    def test_allocate_matches_plain_search(self, jd):
-        """Every pass and the phase-1 start of allocate, bit for bit."""
-        cfg, graph, ch, occ = make_scenario(seed=0, jd=jd)
-        dropped = assert_pretest_exact(lambda: allocation.allocate(cfg, ch, graph, occ),
-                                       _trace_bytes)
-        assert dropped > 0
-
-    def test_margin_keeps_steps_that_round_inside(self):
-        """A full step whose computed tangent value is just above 0 but
-        which evaluates inside the domain is kept: the margin covers the
-        rounding.  A step four times as long is dropped down to 1/4, and a
-        step away from the boundary is never dropped."""
-        barrier = gp._Barrier(np.zeros((1, 3)), np.zeros(1),
-                              pack_blocks(3, [([[-3.0, 3.0, -3.0]], [-2.206449877026825])]))
-        y = np.array([0.24978537155866684, 1.0314530848694723, 0.16100957671534466])
-        delta = np.array([-0.10410403465025206, -0.2384620155922975, -0.2491831366888596])
-        point = barrier.evaluate(y)
-        barrier.bundle(point, 1.0)
-        slope = point.parts[1] @ delta
-        assert slope[0] / point.negf[0] > 1.0
-        assert barrier.evaluate(y + delta) is not None
-        assert barrier.first_alpha(point, y, delta) == 1.0
-        assert barrier.evaluate(y + 0.5 * (4 * delta)) is None
-        assert barrier.first_alpha(point, y, 4 * delta) == 0.25
-        assert barrier.first_alpha(point, y, -1000 * delta) == 1.0
 
 
 def _wrapped_newton_step(hess, grad):
@@ -1169,15 +1126,15 @@ class TestStalledLineSearch:
 
     def test_solve_reports_stalled(self, monkeypatch):
         """A line search that accepts no step ends the solve STALLED, with
-        no step taken: after y0, the halvings down to 1e-18 that the
-        pre-test keeps (at most 60) are evaluated."""
+        no step taken: after y0, each of the 60 steps from 1 halved down
+        to 1e-18 is evaluated."""
         problem, w, _, _ = witness_gp(3, 3, 4, [2, 3])
         self.reject_after_start(monkeypatch)
         res = solve(problem, y0=w)
         assert res.status == STALLED
         assert res.newton_steps_used == 0
         assert len(res.path) == 1
-        assert 1 < res.evaluations <= 1 + 60
+        assert res.evaluations == 1 + 60
 
     def test_allocate_raises_on_stalled_pass(self, monkeypatch):
         """Seed 1 at J_D = 1 starts from the half-cap point, so the stall
@@ -1207,23 +1164,39 @@ class TestEvaluationCount:
         assert res.evaluations == len(counted) > res.newton_steps_used
 
     def test_jd4_allocate_evaluates_little_more_than_once_per_step(self, monkeypatch):
-        """Apart from _predict's, the evaluations number fewer than 1.2 per
-        Newton step (without the tangent pre-test this figure is about
-        2.1), and _predict makes at most 1.5 per centering boundary."""
-        boundaries, predicted = [], []
-        real_predict = gp._predict
+        """Apart from _predict's, the pass solves' evaluations that reach
+        the objective's rows (those inside the domain) number fewer than
+        1.2 per Newton step, and _predict makes at most 1.5 of them per
+        centering boundary.  Counted with the candidates outside the
+        domain, which read only the constraint rows, the first figure is
+        about 2.4."""
+        in_solve, reached, predicted = [False], [0], []
+        real_evaluate, real_predict, real_solve = (gp._Barrier.evaluate, gp._predict,
+                                                   allocation.solve)
+
+        def counting_evaluate(self, y):
+            point = real_evaluate(self, y)
+            reached[0] += in_solve[0] and point is not None
+            return point
 
         def counting_predict(barrier, y, point, t, t_next):
-            before = barrier.evaluations
+            before = reached[0]
             start = real_predict(barrier, y, point, t, t_next)
-            boundaries.append(t_next)
-            predicted.append(barrier.evaluations - before)
+            predicted.append(reached[0] - before)
             return start
 
+        def flagged_solve(*args, **kwargs):
+            in_solve[0] = True
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                in_solve[0] = False
+
+        monkeypatch.setattr(gp._Barrier, "evaluate", counting_evaluate)
         monkeypatch.setattr(gp, "_predict", counting_predict)
+        monkeypatch.setattr(allocation, "solve", flagged_solve)
         cfg, graph, ch, occ = make_scenario(seed=0, jd=4)
         trace = allocation.allocate(cfg, ch, graph, occ)
-        evaluations = sum(p.solver.evaluations for p in trace.points)
         steps = sum(p.solver.newton_steps_used for p in trace.points)
-        assert evaluations - sum(predicted) < 1.2 * steps
-        assert boundaries and sum(predicted) <= 1.5 * len(boundaries)
+        assert reached[0] - sum(predicted) < 1.2 * steps
+        assert predicted and sum(predicted) <= 1.5 * len(predicted)
