@@ -89,6 +89,7 @@ from .gp import (
     solve,
 )
 from .posynomial import (
+    CoefficientRangeError,
     ConvexFormProblem,
     Monomial,
     Posynomial,

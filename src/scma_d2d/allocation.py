@@ -153,6 +153,9 @@ def _floors_and_caps(cfg: ScenarioConfig, graph: FactorGraph, links: Links):
             np.where(cell, cfg.cellular_power_cap_w / graph.d_f, cfg.d2d_power_cap_w))
 
 
+# a coefficient that overflows is an inf, which Posynomial rejects with
+# CoefficientRangeError, so numpy's warning would only repeat it
+@np.errstate(over="ignore")
 def build_p2(cfg: ScenarioConfig, ch: ChannelRealization, graph: FactorGraph,
              occupancy) -> P2Problem:
     """Complementary-GP data for one channel realization: per receiver r,

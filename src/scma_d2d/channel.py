@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -129,6 +130,15 @@ class ScenarioConfig:
         lo, hi = self.d2d_distance_range_m
         if not (1.0 <= lo <= hi < math.inf):
             raise ConfigError("d2d_distance_range_m must satisfy 1 <= min <= max < inf")
+        # the receiver offset is drawn area-uniform from [min^2, max^2], and
+        # it must not vanish against the positions' rounding in the cell
+        if not hi * hi < math.inf:
+            raise ConfigError(f"d2d_distance_range_m max = {hi!r} is out of range: "
+                              "its square must be finite")
+        if not self.cell_radius_m + lo / 2 > self.cell_radius_m:
+            raise ConfigError(f"cell_radius_m = {self.cell_radius_m!r} is too large for "
+                              f"d2d_distance_range_m min = {lo!r}: a D2D offset would "
+                              "vanish in the rounding of a position in the cell")
         # every dB or dBm field must give a positive, finite linear value; a
         # finite one can still overflow or underflow on the way
         for name, linear in (("noise_dbm_per_hz", "noise_power_w"),
@@ -267,19 +277,32 @@ def sample_channels(cfg: ScenarioConfig, geo: NodeGeometry,
     )
 
 
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def write_csv(path, header, rows):
+    """header and then each row, comma-separated: a float as repr(float),
+    None as an empty cell, anything else through str.  Every CSV the
+    package writes goes through here."""
+    Path(path).write_text("".join(
+        ",".join(map(_cell, row)) + "\n" for row in [header, *rows]))
+
+
 def dump_channels_csv(ch: ChannelRealization, path) -> None:
     """One row per link (0-based indices): type,index1,index2,real,imag."""
-    with open(path, "w") as fh:
-        fh.write("type,index1,index2,real,imag\n")
-        for (j, k), v in np.ndenumerate(ch.cell_to_bs):
-            fh.write(f"cell_to_bs,{j},{k},{float(v.real)!r},{float(v.imag)!r}\n")
-        for l, v in enumerate(ch.d2d_to_bs):
-            fh.write(f"d2d_to_bs,{l},,{float(v.real)!r},{float(v.imag)!r}\n")
-        for l, v in enumerate(ch.d2d_pair):
-            fh.write(f"d2d_pair,{l},,{float(v.real)!r},{float(v.imag)!r}\n")
-        for (j, l), v in np.ndenumerate(ch.cell_to_d2d):
-            fh.write(f"cell_to_d2d,{j},{l},{float(v.real)!r},{float(v.imag)!r}\n")
-        fh.write(f"noise_power_w,,,{float(ch.noise_power_w)!r},0.0\n")
+    rows = [("cell_to_bs", j, k, v.real, v.imag)
+            for (j, k), v in np.ndenumerate(ch.cell_to_bs)]
+    rows += [("d2d_to_bs", l, None, v.real, v.imag) for l, v in enumerate(ch.d2d_to_bs)]
+    rows += [("d2d_pair", l, None, v.real, v.imag) for l, v in enumerate(ch.d2d_pair)]
+    rows += [("cell_to_d2d", j, l, v.real, v.imag)
+             for (j, l), v in np.ndenumerate(ch.cell_to_d2d)]
+    rows.append(("noise_power_w", None, None, float(ch.noise_power_w), 0.0))
+    write_csv(path, ("type", "index1", "index2", "real", "imag"), rows)
 
 
 # ---------------------------------------------------------------------------

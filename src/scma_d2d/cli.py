@@ -2,7 +2,8 @@
 
 Subcommands: convergence, sweep-cell, sweep-d2d, bounds, compare.
 Exit codes: 0 success, 2 configuration error (a system too large to
-allocate included), 3 every seed infeasible, 4 a GP solve inside the power
+allocate, or scales that put a GP coefficient outside float64's range,
+included), 3 every seed infeasible, 4 a GP solve inside the power
 allocator failed its runtime checks or its phase-1 stopped uncertified.
 """
 
@@ -21,6 +22,7 @@ from .experiments import (
     run_experiment,
 )
 from .factor_graph import DimensionError
+from .posynomial import CoefficientRangeError
 
 # subcommand -> (experiment kind, default number of seeds)
 SUBCOMMANDS = {
@@ -95,7 +97,7 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(spec)
-    except DimensionError as err:
+    except (DimensionError, CoefficientRangeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AllocationSolverError as err:

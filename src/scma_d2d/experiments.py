@@ -38,6 +38,7 @@ from .channel import (
     sample_channels,
     sample_geometry,
     watts_to_dbm,
+    write_csv,
 )
 from .factor_graph import build_factor_graph, covariance_split, random_skeleton
 
@@ -127,21 +128,6 @@ def _runs(spec: ExperimentSpec, **fields):
         yield cfg, streams, sample_channels(cfg, geo, streams.fading)
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path, header, rows):
-    """header and then each row, comma-separated: a float as repr(float),
-    None as an empty cell, anything else through str."""
-    Path(path).write_text("".join(
-        ",".join(map(_cell, row)) + "\n" for row in [header, *rows]))
-
-
 def _paired_rates(cfg: ScenarioConfig, streams, ch, graph, occupancy, t_max):
     """Scaled (proposed, random) sum rates on channels ch, or None when the
     QoS floors are jointly infeasible or the random baseline finds no
@@ -198,10 +184,10 @@ def _write_solver_traces(output_path, seed, trace):
     per centering of that pass's GP solve."""
     stem = str(Path(output_path).with_suffix(""))
     for it, point in enumerate(trace.points):
-        _write_csv(f"{stem}_solver_seed{seed}_pass{it}.csv",
-                   ["outer_iteration", "t", "objective", "gap"],
-                   [(outer, t, f0, gap)
-                    for outer, (t, _, f0, gap) in enumerate(point.solver.path)])
+        write_csv(f"{stem}_solver_seed{seed}_pass{it}.csv",
+                  ["outer_iteration", "t", "objective", "gap"],
+                  [(outer, t, f0, gap)
+                   for outer, (t, _, f0, gap) in enumerate(point.solver.path)])
 
 
 def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
@@ -231,7 +217,7 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
             for v in pack_allocation(graph, alloc.cellular, alloc.d2d):
                 row += [v, watts_to_dbm(v) if v > 0 else "-inf"]
             rows.append(row + [rate * cfg.rate_scale, int(trace.converged)])
-    _write_csv(spec.output_path, header, rows)
+    write_csv(spec.output_path, header, rows)
     return ConvergenceResult(spec.output_path, traces, infeasible)
 
 
@@ -250,16 +236,16 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         detail += [(value, *row) for row in seed_rows]
         rows.append(SweepRow(value, *summary))
     summary_path = str(Path(spec.output_path).with_suffix("")) + "_summary.csv"
-    _write_csv(spec.output_path,
-               ["sweep_dbm", "seed", "proposed_bits", "random_bits", "feasible"],
-               detail)
-    _write_csv(summary_path,
-               ["sweep_dbm", "mean_sum_rate_proposed", "mean_sum_rate_random",
-                "num_infeasible_draws", "num_seeds_used"],
-               [(r.sweep_value_dbm,
-                 *((r.mean_sum_rate_proposed, r.mean_sum_rate_random)
-                   if r.num_seeds_used else (None, None)),
-                 r.num_infeasible_draws, r.num_seeds_used) for r in rows])
+    write_csv(spec.output_path,
+              ["sweep_dbm", "seed", "proposed_bits", "random_bits", "feasible"],
+              detail)
+    write_csv(summary_path,
+              ["sweep_dbm", "mean_sum_rate_proposed", "mean_sum_rate_random",
+               "num_infeasible_draws", "num_seeds_used"],
+              [(r.sweep_value_dbm,
+                *((r.mean_sum_rate_proposed, r.mean_sum_rate_random)
+                  if r.num_seeds_used else (None, None)),
+                r.num_infeasible_draws, r.num_seeds_used) for r in rows])
     return SweepResult(rows, spec.output_path, summary_path)
 
 
@@ -306,9 +292,9 @@ def run_bound_validation(spec: ExperimentSpec) -> BoundValidationResult:
                          report.upper_bits))
         if report.exact_bits > report.upper_bits + 1e-9:
             violations += 1
-    _write_csv(spec.output_path,
-               ["seed", "k", "lower", "exact_eig", "upper", "exact_capacity_bits",
-                "capacity_upper_bits"], rows)
+    write_csv(spec.output_path,
+              ["seed", "k", "lower", "exact_eig", "upper", "exact_capacity_bits",
+               "capacity_upper_bits"], rows)
     return BoundValidationResult(spec.output_path, len(rows), violations)
 
 
@@ -335,8 +321,8 @@ def run_baseline_comparison(spec: ExperimentSpec) -> ComparisonResult:
     """Proposed vs feasible-random sum rate at fixed caps."""
     _, graph, occupancy = _setup(spec)
     rows, summary = _paired_runs(spec, graph, occupancy)
-    _write_csv(spec.output_path,
-               ["seed", "proposed_bits", "random_bits", "feasible"], rows)
+    write_csv(spec.output_path,
+              ["seed", "proposed_bits", "random_bits", "feasible"], rows)
     return ComparisonResult(spec.output_path, *summary)
 
 

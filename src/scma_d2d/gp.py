@@ -120,16 +120,14 @@ class _Point:
     them, so those are kept here once computed: a second bundle at the
     same y (_predict's at a central point, a centering run again from
     that point, or the warm-start pick that _center starts from) builds
-    no Hessian again.  step keeps the last (t, phi, Newton step,
-    grad . step) found here, so the warm-start scan's direction at its
-    pick is not solved again by _center."""
+    no Hessian again.  Nothing that depends on t is kept."""
 
-    __slots__ = ("f0", "negf", "logsum", "e0", "s0", "e_con", "s_con", "parts", "step")
+    __slots__ = ("f0", "negf", "logsum", "e0", "s0", "e_con", "s_con", "parts")
 
     def __init__(self, f0, negf, logsum, e0, s0, e_con, s_con):
         self.f0, self.negf, self.logsum = f0, negf, logsum
         self.e0, self.s0, self.e_con, self.s_con = e0, s0, e_con, s_con
-        self.parts = self.step = None
+        self.parts = None
 
     def phi(self, t):
         """The barrier value t*f0 - sum_s log(-f_s)."""
@@ -207,11 +205,8 @@ class _Barrier:
     def newton(self, point, t):
         """(phi, Newton step, grad . step) at point for weight t;
         -grad . step is the squared Newton decrement."""
-        step = point.step
-        if step is None or step[0] != t:
-            val, grad, hess, _ = self.bundle(point, t)
-            point.step = step = (t, val, *_regularized_newton_step(hess, grad))
-        return step[1:]
+        val, grad, hess, _ = self.bundle(point, t)
+        return (val, *_regularized_newton_step(hess, grad))
 
 
 def _raise_singular(err, flag):
@@ -264,6 +259,21 @@ def _regularized_newton_step(hess, grad):
     raise LinAlgError("Newton system could not be regularized")
 
 
+def _backtrack(barrier, y, direction, accept):
+    """(y + alpha * direction, its point) for the first alpha of 1, 1/2,
+    ... down to 1e-18 that lands inside the domain and passes
+    accept(point, alpha), or None: the halving search (Boyd & Vandenberghe
+    9.2) of both _center's line search and _predict."""
+    alpha = 1.0
+    while alpha >= 1e-18:
+        cand = y + alpha * direction
+        cand_point = barrier.evaluate(cand)
+        if cand_point is not None and accept(cand_point, alpha):
+            return cand, cand_point
+        alpha *= LINE_SEARCH_BACKTRACK
+    return None
+
+
 def _center(barrier, y, point, t, callback=None):
     """Damped Newton to the analytic center for barrier weight t, from y
     with point = barrier.evaluate(y).
@@ -286,22 +296,13 @@ def _center(barrier, y, point, t, callback=None):
         decrement = math.sqrt(max(-descent, 0.0))
         if decrement <= max(NEWTON_TOL, math.sqrt(32.0 * eps * abs(val))):
             return y, point, CENTERED, steps
-        alpha = 1.0
-        accepted = None
-        while alpha >= 1e-18:
-            cand = y + alpha * delta
-            cand_point = barrier.evaluate(cand)
-            if cand_point is not None:
-                cand_val = cand_point.phi(t)
-                if cand_val <= val + LINE_SEARCH_SLOPE * alpha * descent:
-                    accepted = cand
-                    break
-            alpha *= LINE_SEARCH_BACKTRACK
+        accepted = _backtrack(barrier, y, delta, lambda p, alpha: (
+            p.phi(t) <= val + LINE_SEARCH_SLOPE * alpha * descent))
         if accepted is None:
             return y, point, STALLED, steps
-        if cand_val >= val:
+        if accepted[1].phi(t) >= val:
             return y, point, ROUNDING_FLOOR, steps
-        y, point = accepted, cand_point
+        y, point = accepted
         steps += 1
         if callback is not None and callback(y):
             return y, point, OPTIMAL, steps
@@ -314,20 +315,13 @@ def _predict(barrier, y, point, t, t_next):
     first-order step along the central path in r = 1/t (the path solves
     t grad f0 + grad phi = 0, so dy/dt = d).  The full step is halved
     until it lands strictly inside the domain with a lower barrier value
-    at t_next; (y, point) when no step down to 1e-18 does.  H(t) comes
-    from point's cached parts, so no Hessian is built."""
+    at t_next; None, no predicted start, when no step down to 1e-18
+    does.  H(t) comes from point's cached parts, so no Hessian is built."""
     _, _, hess, _ = barrier.bundle(point, t)
     d, _ = _regularized_newton_step(hess, point.parts[0])
-    step = t * (1.0 - t / t_next) * d
     val = point.phi(t_next)
-    alpha = 1.0
-    while alpha >= 1e-18:
-        cand = y + alpha * step
-        cand_point = barrier.evaluate(cand)
-        if cand_point is not None and cand_point.phi(t_next) < val:
-            return cand, cand_point
-        alpha *= LINE_SEARCH_BACKTRACK
-    return y, point
+    return _backtrack(barrier, y, t * (1.0 - t / t_next) * d,
+                      lambda p, _: p.phi(t_next) < val)
 
 
 def _central_path(barrier, y, point, t, callback=None, mu=BARRIER_MU):
@@ -342,9 +336,9 @@ def _central_path(barrier, y, point, t, callback=None, mu=BARRIER_MU):
     With mu = PASS_BARRIER_MU (the pass solves) each centering after the
     first starts at the point _predict gives; when that centering does
     not end CENTERED, it runs again from the central point the start was
-    predicted from, and the failed attempt's steps still count.  The
-    tenfold path (phase-1) starts each centering at the last central
-    point.
+    predicted from, and the failed attempt's steps still count; with no
+    predicted start it runs once, from the central point.  The tenfold
+    path (phase-1) starts each centering at the last central point.
 
     Returns (status, steps, rows, centered) with one (t, y, f0, m/t) row
     per centering; status is the last centering's stop, OPTIMAL at the
@@ -376,9 +370,8 @@ def _central_path(barrier, y, point, t, callback=None, mu=BARRIER_MU):
         if t >= t_final:
             return OPTIMAL, total_steps, rows, centered
         t_prev, t = t, min(t * mu, t_final)
-        starts = [(y, point)]
-        if mu == PASS_BARRIER_MU:
-            starts.insert(0, _predict(barrier, y, point, t_prev, t))
+        predicted = _predict(barrier, y, point, t_prev, t) if mu == PASS_BARRIER_MU else None
+        starts = [(y, point)] if predicted is None else [predicted, (y, point)]
 
 
 def _warm_start(barrier, path):

@@ -28,6 +28,11 @@ class RegistryMismatchError(ValueError):
     """Raised when two operands live over different variable registries."""
 
 
+class CoefficientRangeError(ValueError):
+    """Raised when a coefficient is 0 or inf, as one that underflows or
+    overflows float64 on the way (a product of extreme scales) is."""
+
+
 def _check_registry(a, b):
     if tuple(a) != tuple(b):
         raise RegistryMismatchError(f"registries differ: {a!r} vs {b!r}")
@@ -62,7 +67,8 @@ class Monomial:
         object.__setattr__(self, "registry", tuple(self.registry))
         c = float(self.coefficient)
         if not (c > 0 and np.isfinite(c)):
-            raise ValueError(f"monomial coefficient must be positive, got {c}")
+            error = CoefficientRangeError if c in (0.0, math.inf) else ValueError
+            raise error(f"monomial coefficient must be positive, got {c}")
         object.__setattr__(self, "coefficient", c)
         a = _as_exponents(self.registry, self.exponents)
         a.flags.writeable = False
@@ -215,6 +221,10 @@ class Posynomial:
 def _check_coefficients(c):
     # two reductions and no mask arrays; a NaN fails both tests
     if not (c.min() > 0 and c.max() < np.inf):
+        if c.min() >= 0:      # a 0 or an inf, and no negative or NaN
+            raise CoefficientRangeError("posynomial coefficients must be positive and "
+                                        "finite; one is 0 or inf, outside float64's "
+                                        "range")
         raise ValueError("posynomial coefficients must be positive and finite")
 
 
@@ -303,8 +313,9 @@ def _merge_product(c, a, d, b):
     codes = codes[order]
     start = np.concatenate(([True], codes[1:] != codes[:-1]))
     del codes
-    coefficients = np.outer(c, d).reshape(-1)
-    _check_coefficients(coefficients)    # a product can underflow or overflow
+    with np.errstate(over="ignore"):     # a product can underflow or overflow
+        coefficients = np.outer(c, d).reshape(-1)
+    _check_coefficients(coefficients)
     merged = _sum_runs(coefficients, order, start)
     del coefficients
     kept = order[start]

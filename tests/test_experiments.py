@@ -1,6 +1,7 @@
 """Tests for the experiment harness and the command-line interface."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,33 @@ class TestCli:
         assert main(["compare", "--config", str(cfg), "--seeds", "1",
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: K = 6, J = 15, J_D = 3: ")
+
+    @pytest.mark.parametrize("config, named", [
+        ("noise_dbm_per_hz = -700\n", "coefficients"),
+        ("noise_dbm_per_hz = -430\nJ_D = 4\n", "coefficients"),
+        ("bandwidth_hz = 1e300\n", "coefficients"),
+        ("cellular_sinr_floor_db = 3000\n", "coefficients"),
+        ("d2d_distance_range_m = 1e250, 1e250\n", "d2d_distance_range_m"),
+        ("cell_radius_m = 1e17\n", "cell_radius_m"),
+    ], ids=["noise-jd1", "noise-jd4", "bandwidth", "cellular-floor", "d2d-range",
+            "cell-radius"])
+    def test_extreme_scale_exits_two(self, tmp_path, capsys, config, named):
+        """Scales that the field ranges admit but that put a GP coefficient
+        outside float64's range (noise, bandwidth, SINR floor), square a
+        D2D distance past it, or lose the D2D offset in a position's
+        rounding exit 2 with one error line and no traceback."""
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no warning line either
+            code = main(["compare", "--config", str(cfg), "--seeds", "1",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
 
     def test_bad_sweep_list_exits_two(self, tmp_path):
         assert main(["sweep-cell", "--sweep-dbm", "abc",

@@ -866,6 +866,44 @@ class TestPredictor:
         assert abs(np.log(res.objective_value / plain.objective_value)) <= plain.certified_gap
         assert res.newton_steps_used == sum(c[3] for c in centerings)
 
+    def test_failed_prediction_centers_once_from_the_central_point(self, monkeypatch):
+        """When no halving of the predicted step passes, there is no
+        predicted start: the next centering starts at the central point,
+        and when it does not end CENTERED it is neither run again nor
+        counted twice.  Every _predict candidate is made to fall outside
+        the domain, and the second centering is reported capped."""
+        problem, y0, _, _ = allocate_solves(monkeypatch, seed=0, jd=1)[1]
+        in_predict, predicted, centerings = [False], [], []
+        real_evaluate, real_predict, real_center = (gp._Barrier.evaluate, gp._predict,
+                                                    gp._center)
+
+        def outside_in_predict(self, y):
+            return None if in_predict[0] else real_evaluate(self, y)
+
+        def failing_predict(barrier, y, point, t, t_next):
+            in_predict[0] = True
+            try:
+                predicted.append(real_predict(barrier, y, point, t, t_next))
+            finally:
+                in_predict[0] = False
+            return predicted[-1]
+
+        def capped_second(barrier, y, point, t, callback=None):
+            y_end, point_end, stop, steps = real_center(barrier, y, point, t, callback)
+            centerings.append((t, y, steps, y_end))
+            return y_end, point_end, MAX_ITERATIONS if len(centerings) >= 2 else stop, steps
+
+        monkeypatch.setattr(gp._Barrier, "evaluate", outside_in_predict)
+        monkeypatch.setattr(gp, "_predict", failing_predict)
+        monkeypatch.setattr(gp, "_center", capped_second)
+        res = solve(problem, y0=y0)
+        (t1, _, _, central), (t2, start, steps, _) = centerings
+        assert t1 < t2 and start is central and steps > 0
+        assert res.newton_steps_used == sum(c[2] for c in centerings)
+        assert res.status == MAX_ITERATIONS
+        assert [r[0] for r in res.path] == [t1, t2]
+        assert predicted == [None]
+
 
 # small-cell draws whose phase-1 ends at the rounding floor of its final
 # t, each with the lower bound on min tau, rounded down, that its record

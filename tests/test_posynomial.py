@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import unpack_blocks
 from scma_d2d.posynomial import (
     MERGE_DECIMALS,
+    CoefficientRangeError,
     ConvexFormProblem,
     Monomial,
     Posynomial,
@@ -113,6 +114,31 @@ class TestConstruction:
             Posynomial(REG2, c, np.eye(2))
         with pytest.raises(ValueError, match="positive and finite"):
             Posynomial.from_distinct_rows(REG2, c, np.eye(2))
+
+    @pytest.mark.parametrize("bad, error", [
+        (0.0, CoefficientRangeError), (np.inf, CoefficientRangeError),
+        (-1.0, ValueError), (np.nan, ValueError)])
+    def test_range_error_only_for_zero_or_inf(self, bad, error):
+        """A 0 or an inf, as an underflow or overflow leaves a coefficient,
+        raises CoefficientRangeError from every constructor; a negative
+        or NaN one raises a plain ValueError."""
+        c = np.array([1.0, bad])
+        for build in (lambda: Posynomial(REG2, c, np.eye(2)),
+                      lambda: Posynomial.from_distinct_rows(REG2, c, np.eye(2)),
+                      lambda: Monomial(bad, np.zeros(2), REG2)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert type(err.value) is error
+
+    def test_product_out_of_range_raises_range_error(self):
+        """Products whose coefficients underflow or overflow float64."""
+        tiny = Posynomial(REG2, [1e-200, 1.0], np.eye(2))
+        huge = Posynomial(REG2, [1e200, 1.0], np.eye(2))
+        for a, b in ((tiny, tiny), (huge, huge)):
+            with pytest.raises(CoefficientRangeError, match="positive and finite"):
+                a * b
+        with pytest.raises(CoefficientRangeError):
+            Monomial(1e-200, np.zeros(2), REG2) * Monomial(1e-200, np.zeros(2), REG2)
 
     def test_distinct_rows_stored_as_merged(self):
         """Distinct integer rows in any order are stored as the merge
